@@ -23,7 +23,6 @@ OPERAND = "operand"
 ROLES = (HEAD, OPERATION, OPERAND)
 
 BUFFER_CAPACITY = 16
-BATCH_SIZE = 8
 
 
 @dataclass
@@ -109,7 +108,7 @@ def train_step(
     *,
     gamma: float,
     lr: float,
-    batch_size: int = BATCH_SIZE,
+    batch_size: int,
     encoder: "enc.Encoder | None" = None,
 ) -> float | None:
     """One squared-TD-error SGD step over a without-replacement minibatch.

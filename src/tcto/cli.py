@@ -79,7 +79,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"tcto: {exc}", file=sys.stderr)
         return 1
-    except (DataError, SchemaError, RoadmapError, PipelineError, OSError) as exc:
+    except (
+        DataError, SchemaError, RoadmapError, PipelineError, OSError, UnicodeDecodeError
+    ) as exc:
         print(f"tcto: {exc}", file=sys.stderr)
         return 2
 
@@ -269,32 +271,48 @@ def _cmd_report(args) -> int:
         for line in fh:
             if not line.strip():
                 continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"malformed steps.jsonl line: {exc}") from exc
-            key = (rec["phase"], rec["episode"])
-            best_by_episode[key] = max(
-                best_by_episode.get(key, float("-inf")), rec["score"]
+            phase, episode, score = _fields(
+                line, "steps.jsonl line", phase=str, episode=int, score=_NUMBER
             )
-    with open(summary_path, "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
+            key = (phase, episode)
+            best_by_episode[key] = max(best_by_episode.get(key, float("-inf")), score)
+    best_score, test_score, best_phase, best_episode, best_step = _fields(
+        summary_path.read_text(encoding="utf-8"),
+        "summary.json",
+        best_score=_NUMBER,
+        test_score=_NUMBER,
+        best_phase=str,
+        best_episode=int,
+        best_step=int,
+    )
 
     print(f"{'phase':<8} {'episode':>7} {'best score':>12}")
     for (phase, episode) in sorted(best_by_episode, key=lambda k: (k[0] != EXPLORE, k)):
         print(f"{phase:<8} {episode:>7} {best_by_episode[(phase, episode)]:>12.6f}")
-    if summary["best_episode"] < 0:
+    if best_episode < 0:
         where = "raw feature baseline"
     else:
-        where = (
-            f"{summary['best_phase']} episode {summary['best_episode']}, "
-            f"step {summary['best_step']}"
-        )
-    print(
-        f"overall best {summary['best_score']:.6f} ({where}); "
-        f"test {summary['test_score']:.6f}"
-    )
+        where = f"{best_phase} episode {best_episode}, step {best_step}"
+    print(f"overall best {best_score:.6f} ({where}); test {test_score:.6f}")
     return 0
+
+
+_NUMBER = (int, float)
+
+
+def _fields(text: str, where: str, **kinds) -> list:
+    """Members of the JSON object in text, each checked against its type."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"malformed {where}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{where} is not a JSON object")
+    values = [doc.get(key) for key in kinds]
+    for (key, kind), value in zip(kinds.items(), values):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise DataError(f"{where} has no {key!r} of the right type")
+    return values
 
 
 if __name__ == "__main__":

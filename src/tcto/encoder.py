@@ -15,8 +15,8 @@ import numpy as np
 
 from .nnsub import glorot_uniform
 from .opset import N_OPERATIONS
+from .tabular import STAT_DIM
 
-STAT_DIM = 7
 DEFAULT_DIMS = (STAT_DIM, 32, 64)
 
 
@@ -110,10 +110,8 @@ def _rows_by_relation(graph: GraphSnapshot) -> list:
     return [(rel, np.array(rows)) for rel, rows in sorted(out.items())]
 
 
-def rgcn_forward(graph, params: RGCNParams):
+def rgcn_forward(graph: GraphSnapshot, params: RGCNParams):
     """Returns (node embeddings, cache) for the alive subgraph."""
-    if not isinstance(graph, GraphSnapshot):
-        graph = snapshot_from_roadmap(graph)
     p = _message_operator(graph)
     rows_by_rel = _rows_by_relation(graph)
     self_idx = params.n_relations

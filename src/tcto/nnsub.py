@@ -1,7 +1,7 @@
 """Minimal dense network substrate: Glorot init, ReLU hiddens, manual backprop.
 
-Everything the value networks need and nothing more: forward, squared-error
-gradients, SGD updates, and parameter copies between twin networks.
+Everything the value networks need and nothing more: forward, gradients
+of a scalar loss, SGD updates, and parameter copies between twin networks.
 """
 
 from __future__ import annotations
@@ -80,16 +80,6 @@ def backprop(net: DenseNet, cache, dy):
         grads[i] = (activations[i].T @ dz, dz.sum(axis=0))
         da = dz @ net.weights[i].T
     return grads, (da[0] if squeeze else da)
-
-
-def backward_mse(net: DenseNet, x, target):
-    """Squared-error loss and its parameter gradients for one input."""
-    target = np.asarray(target, dtype=float)
-    y, cache = forward_cache(net, x)
-    diff = y - target
-    loss = float(np.sum(diff * diff))
-    grads, _ = backprop(net, cache, 2.0 * diff)
-    return loss, grads
 
 
 def zero_grads(net: DenseNet) -> list:

@@ -57,12 +57,6 @@ BINARY_OPERATIONS = tuple(op for op in OPERATIONS if op.arity == 2)
 OP_BY_NAME = {op.name: op for op in OPERATIONS}
 
 
-def op_one_hot(op: Operation) -> np.ndarray:
-    v = np.zeros(N_OPERATIONS)
-    v[op.id] = 1.0
-    return v
-
-
 def _signed_eps(v: np.ndarray) -> np.ndarray:
     # sign with sign(0) = +1, so the guard never cancels to zero
     return np.where(v >= 0.0, EPSILON, -EPSILON)

@@ -1,11 +1,17 @@
 """Search driver.
 
-Each step clusters the alive roadmap nodes, asks the three agents for a
-head cluster, an operation and (for binary operations) an operand cluster,
-grows the roadmap by group-wise crossing, scores the new feature set with
-cross validation, rewards the agents and trains them from replay, and keeps
-the node count inside budget by node-wise pruning early in training and by
-backtracking to the episode's best snapshot later on.
+Pipeline._step runs the six stages of one step in order:
+
+- _cluster encodes the alive roadmap nodes once (one snapshot, one RGCN
+  pass) and clusters them;
+- _decide asks the three agents for a head cluster, an operation and (for
+  binary operations) an operand cluster;
+- _grow grows the roadmap by group-wise crossing;
+- _score scores the new feature set with cross validation and rewards the
+  agents;
+- _learn trains the agents from replay;
+- _prune keeps the node count inside budget by node-wise pruning early in
+  training and by backtracking to the episode's best snapshot later on.
 """
 
 from __future__ import annotations
@@ -19,18 +25,19 @@ import numpy as np
 
 from . import agents as ag
 from . import encoder as enc
-from .clustering import cluster_nodes
+from .clustering import ClusterAssignment, cluster_nodes
 from .evaluator import EvalConfig, evaluate
 from .opset import (
     N_OPERATIONS,
     OPERATIONS,
     UNARY_OPERATIONS,
+    Operation,
     apply_binary,
     apply_unary,
 )
-from .reward import step_reward
+from .reward import StepReward, step_reward
 from .roadmap import Roadmap
-from .tabular import Dataset, stratified_split
+from .tabular import STAT_DIM, Dataset, stratified_split
 
 
 class PipelineError(ValueError):
@@ -185,21 +192,72 @@ APPLY = "apply"
 
 
 @dataclass
-class _Pending:
-    state_input: np.ndarray
-    action: int
-    share: float
-    ctx: tuple | None
-
-
-@dataclass
 class _Episode:
+    """One episode's roadmap and columns. pending holds each agent's last
+    transition as terminal until the next decision gives its candidates."""
+
     roadmap: Roadmap
     columns: dict
-    emb_cache: dict | None
     prev_score: float
     episode_best: object
     pending: dict
+
+
+@dataclass
+class _Clusters:
+    """The alive subgraph, its node embeddings h and their clustering.
+
+    group_pos holds each cluster as graph row positions, all_pos every row.
+    """
+
+    graph: enc.GraphSnapshot
+    h: np.ndarray
+    assignment: ClusterAssignment
+    groups: list
+    group_pos: list
+    all_pos: tuple
+
+
+@dataclass
+class _Decision:
+    head_idx: int
+    head_input: np.ndarray
+    op: Operation
+    fallback: bool = False
+    operand_idx: int | None = None
+    operand_input: np.ndarray | None = None
+
+    @property
+    def acting(self) -> tuple:
+        if self.operand_idx is None:
+            return (ag.HEAD, ag.OPERATION)
+        return (ag.HEAD, ag.OPERATION, ag.OPERAND)
+
+
+@dataclass
+class _Growth:
+    """The growth counters of a StepRecord, under the same names."""
+
+    attempts: int
+    created: int = 0
+    revived: int = 0
+    duplicates: int = 0
+    rejected: int = 0
+    alive: int = 0
+
+
+@dataclass
+class _Scored:
+    score: float
+    reward: StepReward
+    improved: tuple | None
+
+
+def _timed(timings: dict, key: str, stage, *args):
+    t0 = time.perf_counter()
+    out = stage(*args)
+    timings[key] += time.perf_counter() - t0
+    return out
 
 
 class Pipeline:
@@ -223,7 +281,7 @@ class Pipeline:
             d_op = self.encoder.out_dim
         else:
             self.encoder = None
-            d_state = enc.STAT_DIM
+            d_state = STAT_DIM
             d_op = N_OPERATIONS
         self.agents = {
             ag.HEAD: ag.make_agent(ag.HEAD, 2 * d_state, 1, cfg.hidden_size, rng_params),
@@ -299,8 +357,9 @@ class Pipeline:
                 _obj_into_net(source["agents"][role]["target"], a.target)
             if self.cfg.use_rgcn:
                 stored = source["encoder"]
-                for layer, arrs in zip(self.encoder.rgcn.layers, stored["layers"]):
-                    for w, arr in zip(layer, arrs):
+                layers = zip(self.encoder.rgcn.layers, stored["layers"], strict=True)
+                for layer, arrs in layers:
+                    for w, arr in zip(layer, arrs, strict=True):
                         w[...] = np.asarray(arr, dtype=float).reshape(w.shape)
                 self.encoder.op_table[...] = np.asarray(
                     stored["op_table"], dtype=float
@@ -328,9 +387,7 @@ class Pipeline:
         t_total = time.perf_counter()
 
         t0 = time.perf_counter()
-        baseline = evaluate(
-            self.train_data.matrix(), self.train_data.labels, self.train_data.task, cfg.eval
-        )
+        baseline = self._evaluate(self.train_data.matrix(), self.train_data)
         timings["reward_estimation"] += time.perf_counter() - t0
 
         best_score = baseline
@@ -346,7 +403,6 @@ class Pipeline:
                     n.id: np.asarray(col, dtype=float)
                     for n, col in zip(roadmap.nodes, self.train_data.columns)
                 },
-                emb_cache=None,
                 prev_score=baseline,
                 episode_best=roadmap.take_snapshot(baseline),
                 pending={},
@@ -356,24 +412,14 @@ class Pipeline:
                 if improved is not None:
                     best_score, best_bytes = improved
                     best_episode, best_step = e, s
-                    rec.best_score = best_score
                 records.append(rec)
-            if phase == EXPLORE and not cfg.random_policy:
-                for role, p in episode.pending.items():
-                    ag.push_transition(
-                        self.agents[role],
-                        ag.Transition(p.state_input, p.action, p.share, [], True, p.ctx),
-                    )
+            for role, t in episode.pending.items():
+                ag.push_transition(self.agents[role], t)
 
         t0 = time.perf_counter()
-        test_baseline = evaluate(
-            self.test_data.matrix(), self.test_data.labels, self.test_data.task, cfg.eval
-        )
-        best_roadmap = Roadmap.import_json(best_bytes)
-        test_matrix = best_roadmap.materialize(self.test_data)
-        test_score = evaluate(
-            test_matrix, self.test_data.labels, self.test_data.task, cfg.eval
-        )
+        test_baseline = self._evaluate(self.test_data.matrix(), self.test_data)
+        test_matrix = Roadmap.import_json(best_bytes).materialize(self.test_data)
+        test_score = self._evaluate(test_matrix, self.test_data)
         timings["reward_estimation"] += time.perf_counter() - t0
 
         timings["total"] = time.perf_counter() - t_total
@@ -390,6 +436,9 @@ class Pipeline:
             records=records,
             timings=timings,
         )
+
+    def _evaluate(self, matrix: np.ndarray, data: Dataset) -> float:
+        return evaluate(matrix, data.labels, data.task, self.cfg.eval)
 
     def _pick_index(self, agent_role: str, inputs: list, epsilon: float) -> int:
         if self.cfg.random_policy:
@@ -412,87 +461,108 @@ class Pipeline:
         return unary_ids[int(np.argmax(q[unary_ids]))]
 
     def _step(self, ep: _Episode, e: int, s: int, phase: str, best_score: float, timings):
-        cfg = self.cfg
-        roadmap = ep.roadmap
-        labels = self.train_data.labels
-        task = self.train_data.task
-        learning = phase == EXPLORE and not cfg.random_policy
+        learning = phase == EXPLORE and not self.cfg.random_policy
         epsilon = self._epsilon(phase)
+        cl = _timed(timings, "clustering", self._cluster, ep.roadmap, s == 0)
+        dec = _timed(timings, "decision", self._decide, ep, cl, epsilon)
+        grown = _timed(timings, "roadmap_update", self._grow, ep, cl, dec)
+        scored = _timed(timings, "reward_estimation", self._score, ep, dec, grown, best_score)
+        losses = _timed(timings, "learning", self._learn, ep, cl, dec, scored, learning)
+        prune_kind = _timed(timings, "pruning", self._prune, ep, e, phase)
+        rew = scored.reward
+        rec = StepRecord(
+            episode=e,
+            step=s,
+            phase=phase,
+            epsilon=epsilon,
+            clusters=cl.assignment.k,
+            head_cluster=dec.head_idx,
+            operation=dec.op.name,
+            operand_cluster=dec.operand_idx,
+            fallback=dec.fallback,
+            **asdict(grown),
+            score=scored.score,
+            best_score=max(best_score, scored.score),
+            reward_performance=rew.performance,
+            reward_complexity=rew.complexity,
+            reward_total=rew.total,
+            shares=dict(rew.shares),
+            losses=losses,
+            prune=prune_kind,
+            alive_after=ep.roadmap.alive_count,
+        )
+        return rec, scored.improved
 
-        # clustering
-        t0 = time.perf_counter()
+    def _cluster(self, roadmap: Roadmap, first_step: bool) -> _Clusters:
+        """One snapshot and one encoder pass; the agents see the same h.
+
+        An episode's first step clusters on the squashed column statistics,
+        every later step on the embeddings h.
+        """
         alive_ids = roadmap.alive_ids()
         graph = enc.snapshot_from_roadmap(roadmap)
-        if ep.emb_cache is not None and all(i in ep.emb_cache for i in alive_ids):
-            sim_rows = np.stack([ep.emb_cache[i] for i in alive_ids])
-        else:
-            sim_rows = np.asarray(graph.stats)
+        h = graph.stats
+        if self.cfg.use_rgcn:
+            h, _ = enc.rgcn_forward(graph, self.encoder.rgcn)
         assignment = cluster_nodes(
             roadmap.adjacency_matrix(),
-            sim_rows,
+            graph.stats if first_step else h,
             alive_ids,
-            use_structure=cfg.use_structure,
-            use_similarity=cfg.use_similarity,
+            use_structure=self.cfg.use_structure,
+            use_similarity=self.cfg.use_similarity,
         )
         groups = assignment.groups()
-        timings["clustering"] += time.perf_counter() - t0
-
-        # decision
-        t0 = time.perf_counter()
         pos = {nid: k for k, nid in enumerate(alive_ids)}
-        if cfg.use_rgcn:
-            h, _ = enc.rgcn_forward(graph, self.encoder.rgcn)
-        else:
-            h = np.asarray(graph.stats, dtype=float)
-        group_pos = [tuple(pos[i] for i in g) for g in groups]
-        all_pos = tuple(range(len(alive_ids)))
-        reps = [enc.cluster_rep(h, g) for g in group_pos]
-        g_rep = enc.cluster_rep(h, all_pos)
+        return _Clusters(
+            graph=graph,
+            h=h,
+            assignment=assignment,
+            groups=groups,
+            group_pos=[tuple(pos[i] for i in g) for g in groups],
+            all_pos=tuple(range(len(alive_ids))),
+        )
+
+    def _decide(self, ep: _Episode, cl: _Clusters, epsilon: float) -> _Decision:
+        reps = [enc.cluster_rep(cl.h, g) for g in cl.group_pos]
+        g_rep = enc.cluster_rep(cl.h, cl.all_pos)
         head_inputs = [np.concatenate([r, g_rep]) for r in reps]
-
-        if learning:
-            self._complete_pending(ep, ag.HEAD, head_inputs)
+        self._complete_pending(ep, ag.HEAD, head_inputs)
         head_idx = self._pick_index(ag.HEAD, head_inputs, epsilon)
-        op_state = head_inputs[head_idx]
-        if learning:
-            self._complete_pending(ep, ag.OPERATION, [op_state])
-        op = OPERATIONS[self._pick_operation(op_state, epsilon)]
-
-        fallback = False
-        operand_idx = None
-        operand_inputs = None
-        operand_choice = None
-        if op.arity == 2:
-            if assignment.k >= 2:
-                o_rep = enc.op_rep(self.encoder, op.id)
-                tail_indices = [j for j in range(assignment.k) if j != head_idx]
-                operand_inputs = [
-                    np.concatenate([reps[head_idx], g_rep, reps[j], o_rep])
-                    for j in tail_indices
-                ]
-                if learning:
-                    self._complete_pending(ep, ag.OPERAND, operand_inputs)
-                operand_choice = self._pick_index(ag.OPERAND, operand_inputs, epsilon)
-                operand_idx = tail_indices[operand_choice]
-            else:
-                op = OPERATIONS[self._fallback_unary(op_state)]
-                fallback = True
-        timings["decision"] += time.perf_counter() - t0
-
-        # roadmap update
-        t0 = time.perf_counter()
-        created = revived = duplicates = rejected = 0
+        head_input = head_inputs[head_idx]
+        self._complete_pending(ep, ag.OPERATION, [head_input])
+        op = OPERATIONS[self._pick_operation(head_input, epsilon)]
         if op.arity == 1:
-            pairs = [(nid, None) for nid in sorted(groups[head_idx])]
+            return _Decision(head_idx, head_input, op)
+        if cl.assignment.k < 2:
+            fallback = OPERATIONS[self._fallback_unary(head_input)]
+            return _Decision(head_idx, head_input, fallback, fallback=True)
+        o_rep = enc.op_rep(self.encoder, op.id)
+        tail_indices = [j for j in range(cl.assignment.k) if j != head_idx]
+        operand_inputs = [
+            np.concatenate([reps[head_idx], g_rep, reps[j], o_rep]) for j in tail_indices
+        ]
+        self._complete_pending(ep, ag.OPERAND, operand_inputs)
+        choice = self._pick_index(ag.OPERAND, operand_inputs, epsilon)
+        return _Decision(
+            head_idx,
+            head_input,
+            op,
+            operand_idx=tail_indices[choice],
+            operand_input=operand_inputs[choice],
+        )
+
+    def _grow(self, ep: _Episode, cl: _Clusters, dec: _Decision) -> _Growth:
+        """Group-wise crossing of the chosen clusters, capped at candidate_cap."""
+        op = dec.op
+        heads = sorted(cl.groups[dec.head_idx])
+        if op.arity == 1:
+            pairs = [(nid, None) for nid in heads]
         else:
-            pairs = [
-                (h_id, t_id)
-                for h_id in sorted(groups[head_idx])
-                for t_id in sorted(groups[operand_idx])
-            ]
-        attempts = len(pairs)
+            tails = sorted(cl.groups[dec.operand_idx])
+            pairs = [(h_id, t_id) for h_id in heads for t_id in tails]
+        out = _Growth(attempts=len(pairs))
         for h_id, t_id in pairs:
-            if created + revived >= cfg.candidate_cap:
+            if out.created + out.revived >= self.cfg.candidate_cap:
                 break
             if t_id is None:
                 vals = apply_unary(op, ep.columns[h_id])
@@ -501,148 +571,96 @@ class Pipeline:
                 vals = apply_binary(op, ep.columns[h_id], ep.columns[t_id])
                 parents = (h_id, t_id)
             if vals is None:
-                rejected += 1
+                out.rejected += 1
                 continue
-            res = roadmap.add_node(op, parents, vals)
+            res = ep.roadmap.add_node(op, parents, vals)
             if res.created:
-                created += 1
+                out.created += 1
                 ep.columns[res.node_id] = vals
             elif res.revived:
-                revived += 1
+                out.revived += 1
                 ep.columns[res.node_id] = vals
             else:
-                duplicates += 1
-        alive_grown = roadmap.alive_count
-        timings["roadmap_update"] += time.perf_counter() - t0
+                out.duplicates += 1
+        out.alive = ep.roadmap.alive_count
+        return out
 
-        # reward estimation
-        t0 = time.perf_counter()
-        if created + revived > 0:
+    def _score(self, ep: _Episode, dec: _Decision, grown: _Growth, best_score: float):
+        cfg = self.cfg
+        roadmap = ep.roadmap
+        if grown.created + grown.revived > 0:
             matrix = np.column_stack([ep.columns[i] for i in roadmap.alive_ids()])
-            score = evaluate(matrix, labels, task, cfg.eval)
+            score = self._evaluate(matrix, self.train_data)
         else:
             score = ep.prev_score
-        acting = (ag.HEAD, ag.OPERATION) if operand_idx is None else (
-            ag.HEAD,
-            ag.OPERATION,
-            ag.OPERAND,
-        )
-        rew = step_reward(
+        reward = step_reward(
             ep.prev_score,
             score,
             roadmap,
-            acting,
+            dec.acting,
             w_performance=cfg.w_performance,
             w_complexity=cfg.w_complexity,
         )
-        improved = None
-        if score > best_score:
-            improved = (score, roadmap.export_json())
+        improved = (score, roadmap.export_json()) if score > best_score else None
         if score > ep.episode_best.score:
             ep.episode_best = roadmap.take_snapshot(score)
         ep.prev_score = score
-        timings["reward_estimation"] += time.perf_counter() - t0
+        return _Scored(score, reward, improved)
 
-        # learning
-        t0 = time.perf_counter()
-        losses: dict = {role: None for role in acting}
-        if learning:
-            head_ctx = (graph, enc.StateSpec(groups=(group_pos[head_idx], all_pos)))
-            ep.pending[ag.HEAD] = _Pending(
-                head_inputs[head_idx], 0, rew.shares[ag.HEAD], head_ctx if cfg.use_rgcn else None
+    def _learn(self, ep: _Episode, cl: _Clusters, dec: _Decision, scored: _Scored, learning):
+        """Park this step's transitions until the next step completes them, then
+        take one SGD step per acting agent; returns the losses by role."""
+        losses: dict = {role: None for role in dec.acting}
+        if not learning:
+            return losses
+        cfg = self.cfg
+        head_groups = (cl.group_pos[dec.head_idx], cl.all_pos)
+        chosen = {
+            ag.HEAD: (dec.head_input, 0, head_groups, None),
+            ag.OPERATION: (dec.head_input, dec.op.id, head_groups, None),
+        }
+        if dec.operand_idx is not None:
+            operand_groups = head_groups + (cl.group_pos[dec.operand_idx],)
+            chosen[ag.OPERAND] = (dec.operand_input, 0, operand_groups, dec.op.id)
+        for role, (state_input, action, groups, op_id) in chosen.items():
+            ctx = (cl.graph, enc.StateSpec(groups, op_id)) if cfg.use_rgcn else None
+            share = scored.reward.shares[role]
+            ep.pending[role] = ag.Transition(state_input, action, share, [], True, ctx)
+        for role in dec.acting:
+            losses[role] = ag.train_step(
+                self.agents[role],
+                self.rng_replay,
+                gamma=cfg.gamma,
+                lr=cfg.learning_rate,
+                batch_size=cfg.batch_size,
+                encoder=self.encoder,
             )
-            op_ctx = (graph, enc.StateSpec(groups=(group_pos[head_idx], all_pos)))
-            ep.pending[ag.OPERATION] = _Pending(
-                op_state, op.id, rew.shares[ag.OPERATION], op_ctx if cfg.use_rgcn else None
-            )
-            if operand_idx is not None:
-                t_ctx = (
-                    graph,
-                    enc.StateSpec(
-                        groups=(group_pos[head_idx], all_pos, group_pos[operand_idx]),
-                        op_id=op.id,
-                    ),
-                )
-                ep.pending[ag.OPERAND] = _Pending(
-                    operand_inputs[operand_choice],
-                    0,
-                    rew.shares[ag.OPERAND],
-                    t_ctx if cfg.use_rgcn else None,
-                )
-            for role in acting:
-                losses[role] = ag.train_step(
-                    self.agents[role],
-                    self.rng_replay,
-                    gamma=cfg.gamma,
-                    lr=cfg.learning_rate,
-                    batch_size=cfg.batch_size,
-                    encoder=self.encoder,
-                )
-            self.global_step += 1
-            if self.global_step % cfg.target_sync_every == 0:
-                for a in self.agents.values():
-                    ag.sync_target(a)
-        timings["learning"] += time.perf_counter() - t0
+        self.global_step += 1
+        if self.global_step % cfg.target_sync_every == 0:
+            for a in self.agents.values():
+                ag.sync_target(a)
+        return losses
 
-        # pruning
-        t0 = time.perf_counter()
-        budget = cfg.node_budget_factor * roadmap.root_count
-        prune_kind = "none"
-        if roadmap.alive_count > budget:
-            node_wise = phase == EXPLORE and e < self._node_wise_episodes()
-            if node_wise:
-                roadmap.prune_node_wise(ep.columns, labels, task, budget)
-                prune_kind = "node_wise"
-            else:
-                roadmap.restore(ep.episode_best)
-                prune_kind = "backtrack"
-        timings["pruning"] += time.perf_counter() - t0
-
-        # refresh the similarity embeddings for the next step's clustering
-        t0 = time.perf_counter()
-        if cfg.use_rgcn:
-            h2, _ = enc.rgcn_forward(enc.snapshot_from_roadmap(roadmap), self.encoder.rgcn)
-            ep.emb_cache = {nid: h2[k] for k, nid in enumerate(roadmap.alive_ids())}
-        timings["clustering"] += time.perf_counter() - t0
-
-        rec = StepRecord(
-            episode=e,
-            step=s,
-            phase=phase,
-            epsilon=epsilon,
-            clusters=assignment.k,
-            head_cluster=head_idx,
-            operation=op.name,
-            operand_cluster=operand_idx,
-            fallback=fallback,
-            attempts=attempts,
-            created=created,
-            revived=revived,
-            duplicates=duplicates,
-            rejected=rejected,
-            alive=alive_grown,
-            score=score,
-            best_score=max(best_score, score),
-            reward_performance=rew.performance,
-            reward_complexity=rew.complexity,
-            reward_total=rew.total,
-            shares=dict(rew.shares),
-            losses=losses,
-            prune=prune_kind,
-            alive_after=roadmap.alive_count,
-        )
-        return rec, improved
+    def _prune(self, ep: _Episode, e: int, phase: str) -> str:
+        """Keep the roadmap inside budget: node-wise MI pruning in the early
+        explore episodes, backtracking to the episode's best snapshot after."""
+        roadmap = ep.roadmap
+        budget = self.cfg.node_budget_factor * roadmap.root_count
+        if roadmap.alive_count <= budget:
+            return "none"
+        if phase == EXPLORE and e < self._node_wise_episodes():
+            data = self.train_data
+            roadmap.prune_node_wise(ep.columns, data.labels, data.task, budget)
+            return "node_wise"
+        roadmap.restore(ep.episode_best)
+        return "backtrack"
 
     def _complete_pending(self, ep: _Episode, role: str, next_candidates: list) -> None:
-        p = ep.pending.pop(role, None)
-        if p is None:
-            return
-        ag.push_transition(
-            self.agents[role],
-            ag.Transition(
-                p.state_input, p.action, p.share, list(next_candidates), False, p.ctx
-            ),
-        )
+        """Push the role's parked transition, if any, with its next candidates."""
+        t = ep.pending.pop(role, None)
+        if t is not None:
+            t = replace(t, next_candidates=list(next_candidates), terminal=False)
+            ag.push_transition(self.agents[role], t)
 
 
 def _net_to_obj(net) -> dict:
@@ -657,19 +675,6 @@ def _obj_into_net(obj: dict, net) -> None:
         w[...] = np.asarray(arr, dtype=float).reshape(w.shape)
     for b, arr in zip(net.biases, obj["biases"], strict=True):
         b[...] = np.asarray(arr, dtype=float).reshape(b.shape)
-
-
-def run_training(dataset: Dataset, cfg: RunConfig) -> RunReport:
-    return Pipeline(dataset, cfg).train()
-
-
-def run_application(dataset: Dataset, cfg: RunConfig, checkpoint) -> RunReport:
-    """Run greedy application episodes from a stored policy checkpoint."""
-    if checkpoint is None:
-        raise PipelineError("application requires a policy checkpoint")
-    p = Pipeline(dataset, cfg)
-    p.load_checkpoint(checkpoint)
-    return p.apply_policy()
 
 
 def record_to_json(rec: StepRecord) -> str:

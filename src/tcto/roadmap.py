@@ -178,10 +178,6 @@ class Roadmap:
             a[pos[p], pos[c]] = 1.0
         return a
 
-    def stats_matrix(self) -> np.ndarray:
-        alive = self.alive_nodes()
-        return np.stack([n.stats.as_vector() for n in alive])
-
     # -- materialization --------------------------------------------------
 
     def materialize(self, d: Dataset) -> np.ndarray:
@@ -345,7 +341,3 @@ class Roadmap:
             lines.append(f'  n{p} -> n{c} [label="{op.name}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def init_roadmap(d: Dataset, lineage: str | None = None) -> Roadmap:
-    return Roadmap.from_dataset(d, lineage=lineage)

@@ -42,7 +42,7 @@ from tcto.encoder import (
 )
 from tcto.evaluator import EvalConfig, mutual_information
 from tcto.opset import N_OPERATIONS, OP_BY_NAME, apply_unary
-from tcto.pipeline import RunConfig, run_training
+from tcto.pipeline import Pipeline, RunConfig
 from tcto.reward import complexity_reward, performance_reward, split_equally
 from tcto.roadmap import Roadmap
 from tcto.synth import synthetic_regression, write_csv
@@ -367,9 +367,9 @@ def test_a7_directional_improvement_over_baseline_and_random_policy():
     learned = []
     randomized = []
     for seed in range(5):
-        learned.append(run_training(data, RunConfig(seed=seed, **shared)))
+        learned.append(Pipeline(data, RunConfig(seed=seed, **shared)).train())
         randomized.append(
-            run_training(data, RunConfig(seed=seed, random_policy=True, **shared))
+            Pipeline(data, RunConfig(seed=seed, random_policy=True, **shared)).train()
         )
     train_wins = sum(r.best_score >= r.baseline_score + 0.03 for r in learned)
     test_wins = sum(r.test_score >= r.test_baseline for r in learned)

@@ -6,7 +6,6 @@ from scipy import stats as scipy_stats
 
 from oracles import random_graph
 from tcto.agents import (
-    BATCH_SIZE,
     BUFFER_CAPACITY,
     HEAD,
     OPERAND,
@@ -26,6 +25,8 @@ from tcto.agents import (
 from tcto.encoder import Encoder, GraphSnapshot, StateSpec, state_forward
 from tcto.nnsub import forward
 from tcto.opset import N_OPERATIONS
+
+BATCH = 8
 
 
 def _head_agent(input_dim=3, seed=0, hidden=8):
@@ -166,11 +167,11 @@ def test_non_terminal_transitions_need_next_candidates():
 def test_training_waits_for_a_full_batch():
     agent = _head_agent(seed=9)
     rng = np.random.default_rng(10)
-    for r in range(BATCH_SIZE - 1):
+    for r in range(BATCH - 1):
         push_transition(agent, _terminal(np.ones(3) * r, r))
-        assert train_step(agent, rng, gamma=0.95, lr=0.01) is None
+        assert train_step(agent, rng, gamma=0.95, lr=0.01, batch_size=BATCH) is None
     push_transition(agent, _terminal(np.ones(3), 1.0))
-    assert train_step(agent, rng, gamma=0.95, lr=0.01) is not None
+    assert train_step(agent, rng, gamma=0.95, lr=0.01, batch_size=BATCH) is not None
 
 
 def test_reported_loss_is_the_pre_update_batch_mean():
@@ -181,14 +182,14 @@ def test_reported_loss_is_the_pre_update_batch_mean():
             agent, _terminal(rng_data.normal(size=3), rng_data.normal())
         )
     twin = np.random.default_rng(13)
-    picks = twin.choice(len(agent.buffer), size=BATCH_SIZE, replace=False)
+    picks = twin.choice(len(agent.buffer), size=BATCH, replace=False)
     expected = 0.0
     for i in picks:
         t = agent.buffer[int(i)]
         q = float(forward(agent.prediction, t.state_input)[0])
         expected += (q - t.reward) ** 2
-    expected /= BATCH_SIZE
-    got = train_step(agent, np.random.default_rng(13), gamma=0.0, lr=0.01)
+    expected /= BATCH
+    got = train_step(agent, np.random.default_rng(13), gamma=0.0, lr=0.01, batch_size=BATCH)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -207,14 +208,14 @@ def test_vector_agents_index_the_loss_by_the_stored_action():
             ),
         )
     twin = np.random.default_rng(16)
-    picks = twin.choice(len(agent.buffer), size=BATCH_SIZE, replace=False)
+    picks = twin.choice(len(agent.buffer), size=BATCH, replace=False)
     expected = 0.0
     for i in picks:
         t = agent.buffer[int(i)]
         q = float(forward(agent.prediction, t.state_input)[t.action])
         expected += (q - t.reward) ** 2
-    expected /= BATCH_SIZE
-    got = train_step(agent, np.random.default_rng(16), gamma=0.0, lr=0.01)
+    expected /= BATCH
+    got = train_step(agent, np.random.default_rng(16), gamma=0.0, lr=0.01, batch_size=BATCH)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -239,7 +240,7 @@ def test_td_targets_flow_through_the_target_network():
     q0 = float(forward(agent.prediction, np.zeros(3))[0])
     y = 0.25 + 1.0 * (base_q + 1.0)
     expected = (q0 - y) ** 2
-    got = train_step(agent, np.random.default_rng(18), gamma=1.0, lr=0.0)
+    got = train_step(agent, np.random.default_rng(18), gamma=1.0, lr=0.0, batch_size=BATCH)
     assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -249,7 +250,7 @@ def test_terminal_transitions_ignore_the_target_network():
         push_transition(agent, _terminal(np.ones(3), 2.0))
     agent.target.biases[-1][:] += 100.0
     q0 = float(forward(agent.prediction, np.ones(3))[0])
-    got = train_step(agent, np.random.default_rng(20), gamma=1.0, lr=0.0)
+    got = train_step(agent, np.random.default_rng(20), gamma=1.0, lr=0.0, batch_size=BATCH)
     assert got == pytest.approx((q0 - 2.0) ** 2, rel=1e-10)
 
 
@@ -258,7 +259,7 @@ def test_fifty_steps_on_a_frozen_buffer_reduce_the_loss():
     for _ in range(16):
         push_transition(agent, _terminal([0.5, -0.5, 1.0], 1.0))
     losses = [
-        train_step(agent, np.random.default_rng(k), gamma=0.95, lr=0.01)
+        train_step(agent, np.random.default_rng(k), gamma=0.95, lr=0.01, batch_size=BATCH)
         for k in range(50)
     ]
     assert all(loss is not None for loss in losses)
@@ -273,7 +274,7 @@ def test_training_is_reproducible_under_the_same_seeds():
         for _ in range(12):
             push_transition(agent, _terminal(data.normal(size=3), data.normal()))
         losses = [
-            train_step(agent, np.random.default_rng(k), gamma=0.95, lr=0.01)
+            train_step(agent, np.random.default_rng(k), gamma=0.95, lr=0.01, batch_size=BATCH)
             for k in range(5)
         ]
         return losses, [w.copy() for w in agent.prediction.weights]
@@ -325,7 +326,9 @@ def test_training_reencodes_states_through_the_live_encoder():
         )
     x, _ = state_forward(enc2, graph, spec)
     q = float(forward(agent.prediction, x)[0])
-    got = train_step(agent, np.random.default_rng(26), gamma=0.0, lr=0.0, encoder=enc2)
+    got = train_step(
+        agent, np.random.default_rng(26), gamma=0.0, lr=0.0, batch_size=BATCH, encoder=enc2
+    )
     assert got == pytest.approx((q - 0.5) ** 2, rel=1e-10)
 
 
@@ -345,7 +348,9 @@ def test_training_updates_the_encoder_parameters():
         )
     table_before = enc2.op_table.copy()
     w_before = enc2.rgcn.layers[0][enc2.rgcn.n_relations].copy()
-    loss = train_step(agent, np.random.default_rng(28), gamma=0.95, lr=0.05, encoder=enc2)
+    loss = train_step(
+        agent, np.random.default_rng(28), gamma=0.95, lr=0.05, batch_size=BATCH, encoder=enc2
+    )
     assert loss is not None and loss > 0.0
     assert np.any(enc2.op_table[1] != table_before[1])
     assert np.array_equal(enc2.op_table[0], table_before[0])
@@ -368,6 +373,6 @@ def test_without_an_encoder_the_stored_inputs_are_used_and_it_stays_frozen():
         )
     table_before = enc2.op_table.copy()
     q0 = float(forward(agent.prediction, np.zeros(6))[0])
-    got = train_step(agent, np.random.default_rng(30), gamma=0.0, lr=0.0)
+    got = train_step(agent, np.random.default_rng(30), gamma=0.0, lr=0.0, batch_size=BATCH)
     assert got == pytest.approx((q0 - 0.5) ** 2, rel=1e-10)
     assert np.array_equal(enc2.op_table, table_before)

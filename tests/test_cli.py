@@ -438,23 +438,43 @@ def test_report_prints_per_episode_bests(run_dir, capsys):
     assert "overall best" in stdout
 
 
+BASELINE_SUMMARY = {
+    "best_episode": -1,
+    "best_phase": "explore",
+    "best_step": -1,
+    "best_score": 0.25,
+    "test_score": 0.2,
+}
+
+
 def test_report_for_a_baseline_only_run_names_the_raw_features(tmp_path, capsys):
     run = tmp_path / "run"
     run.mkdir()
     (run / "steps.jsonl").write_text("")
-    (run / "summary.json").write_text(
-        json.dumps(
-            {
-                "best_episode": -1,
-                "best_phase": "explore",
-                "best_step": -1,
-                "best_score": 0.25,
-                "test_score": 0.2,
-            }
-        )
-    )
+    (run / "summary.json").write_text(json.dumps(BASELINE_SUMMARY))
     assert main(["report", "--run", str(run)]) == 0
     assert "raw feature baseline" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "steps, summary",
+    [
+        (b"{}\n", BASELINE_SUMMARY),
+        (b"[1, 2]\n", BASELINE_SUMMARY),
+        (b"\xff{}\n", BASELINE_SUMMARY),
+        (b'{"phase": "explore", "episode": 0, "score": "high"}\n', BASELINE_SUMMARY),
+        (b"", []),
+        (b"", {**BASELINE_SUMMARY, "best_score": None}),
+    ],
+    ids=["object-line", "array-line", "bad-utf8", "string-score", "array-summary", "null-best"],
+)
+def test_report_rejects_malformed_run_files(tmp_path, capsys, steps, summary):
+    (tmp_path / "steps.jsonl").write_bytes(steps)
+    (tmp_path / "summary.json").write_text(json.dumps(summary))
+    assert main(["report", "--run", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tcto: ")
 
 
 def test_report_rejects_a_non_run_directory(tmp_path, capsys):

@@ -10,7 +10,6 @@ from tcto.nnsub import (
     DenseNet,
     add_grads,
     backprop,
-    backward_mse,
     clone,
     copy_params,
     forward,
@@ -23,6 +22,15 @@ from tcto.nnsub import (
 
 def _net(dims, seed=0):
     return DenseNet.create(dims, np.random.default_rng(seed))
+
+
+def _mse(net, x, target):
+    """Squared-error loss and parameter gradients via forward_cache and
+    backprop, the way agents.train_step drives them."""
+    y, cache = forward_cache(net, x)
+    diff = y - np.asarray(target, dtype=float)
+    grads, _ = backprop(net, cache, 2.0 * diff)
+    return float(np.sum(diff * diff)), grads
 
 
 # -- forward values ----------------------------------------------------------------
@@ -104,7 +112,7 @@ def test_loss_is_zero_when_the_target_matches_the_output():
     net = _net([3, 4, 2], seed=2)
     x = np.array([0.3, -1.2, 0.7])
     y = forward(net, x)
-    loss, grads = backward_mse(net, x, y)
+    loss, grads = _mse(net, x, y)
     assert loss == 0.0
     for gw, gb in grads:
         assert np.all(gw == 0.0)
@@ -116,8 +124,8 @@ def test_doubling_the_residual_quadruples_the_loss():
     x = np.array([1.0, 0.5, -0.5])
     y = forward(net, x)
     r = np.array([0.3, -0.8])
-    loss1, _ = backward_mse(net, x, y - r)
-    loss2, _ = backward_mse(net, x, y - 2.0 * r)
+    loss1, _ = _mse(net, x, y - r)
+    loss2, _ = _mse(net, x, y - 2.0 * r)
     assert loss1 == pytest.approx(float(r @ r), rel=1e-12)
     assert loss2 == pytest.approx(4.0 * loss1, rel=1e-12)
 
@@ -141,8 +149,8 @@ def _kink_free_instance(seed, dims=(3, 5, 2)):
 @pytest.mark.parametrize("seed", range(20))
 def test_parameter_gradients_match_central_differences(seed):
     net, x, target = _kink_free_instance(seed)
-    loss_fn = lambda: backward_mse(net, x, target)[0]
-    _, grads = backward_mse(net, x, target)
+    loss_fn = lambda: _mse(net, x, target)[0]
+    _, grads = _mse(net, x, target)
     for layer, (gw, gb) in enumerate(grads):
         assert fd_close(gw, central_difference(loss_fn, net.weights[layer]), tol=1e-4)
         assert fd_close(gb, central_difference(loss_fn, net.biases[layer]), tol=1e-4)
@@ -153,7 +161,7 @@ def test_input_gradient_matches_central_differences(seed):
     net, x, target = _kink_free_instance(seed + 100)
     y, cache = forward_cache(net, x)
     _, dx = backprop(net, cache, 2.0 * (y - np.asarray(target)))
-    loss_fn = lambda: backward_mse(net, x, target)[0]
+    loss_fn = lambda: _mse(net, x, target)[0]
     assert fd_close(dx, central_difference(loss_fn, x), tol=1e-4)
 
 
@@ -163,7 +171,7 @@ def test_input_gradient_matches_central_differences(seed):
 def test_sgd_with_zero_learning_rate_changes_nothing():
     net = _net([2, 3, 1], seed=4)
     before = [w.copy() for w in net.weights] + [b.copy() for b in net.biases]
-    loss, grads = backward_mse(net, [1.0, -1.0], [0.5])
+    loss, grads = _mse(net, [1.0, -1.0], [0.5])
     assert loss > 0.0
     sgd_step(net, grads, lr=0.0)
     after = list(net.weights) + list(net.biases)
@@ -175,7 +183,7 @@ def test_single_bias_quadratic_takes_the_textbook_step():
     net = _net([1, 1])
     net.weights[0][:] = 0.0
     net.biases[0][:] = 0.0
-    loss, grads = backward_mse(net, [0.0], [1.0])
+    loss, grads = _mse(net, [0.0], [1.0])
     assert loss == 1.0
     sgd_step(net, grads, lr=0.1)
     assert net.biases[0][0] == pytest.approx(0.2, abs=1e-15)
@@ -185,7 +193,7 @@ def test_single_bias_quadratic_takes_the_textbook_step():
 def test_gradient_accumulation_scales_and_sums():
     net = _net([2, 2], seed=6)
     acc = zero_grads(net)
-    _, g = backward_mse(net, [1.0, 2.0], [0.0, 0.0])
+    _, g = _mse(net, [1.0, 2.0], [0.0, 0.0])
     add_grads(acc, g, scale=0.5)
     add_grads(acc, g, scale=0.5)
     for (aw, ab), (gw, gb) in zip(acc, g):
@@ -203,7 +211,7 @@ def test_hundred_sgd_steps_monotonically_fit_a_linear_toy():
         acc = zero_grads(net)
         total = 0.0
         for x, y in zip(xs, ys):
-            loss, grads = backward_mse(net, x, y)
+            loss, grads = _mse(net, x, y)
             total += loss
             add_grads(acc, grads, scale=1.0 / len(xs))
         losses.append(total / len(xs))

@@ -17,7 +17,6 @@ from tcto.opset import (
     apply_binary,
     apply_unary,
     binary_values,
-    op_one_hot,
     unary_values,
 )
 
@@ -49,13 +48,6 @@ def test_operation_table_is_stable():
     assert len(UNARY_OPERATIONS) == 13
     assert len(BINARY_OPERATIONS) == 4
     assert [op.id for op in OPERATIONS] == list(range(17))
-
-
-def test_one_hot_encoding():
-    v = op_one_hot(OP_BY_NAME["sin"])
-    assert v.shape == (17,)
-    assert v.sum() == 1.0
-    assert v[3] == 1.0
 
 
 # -- hand-checked values ---------------------------------------------------

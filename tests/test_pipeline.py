@@ -1,12 +1,16 @@
 """End-to-end search driver: configuration, determinism, budgets, replay."""
 
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
 
+import tcto.encoder
+import tcto.pipeline
 from tcto.agents import HEAD, OPERAND, OPERATION
+from tcto.encoder import squash_stats
 from tcto.evaluator import EvalConfig, evaluate
 from tcto.pipeline import (
     APPLY,
@@ -18,8 +22,6 @@ from tcto.pipeline import (
     config_from_dict,
     config_to_dict,
     record_to_json,
-    run_application,
-    run_training,
 )
 from tcto.roadmap import Roadmap
 from tcto.tabular import Dataset
@@ -310,6 +312,33 @@ def test_ablation_flags_reach_the_clustering(trained):
     assert len(report.records) == 3
 
 
+def test_each_step_runs_one_encoder_pass_and_clusters_on_it(monkeypatch):
+    forwards, clustered = [], []
+    real_forward = tcto.encoder.rgcn_forward
+    real_cluster = tcto.pipeline.cluster_nodes
+
+    def counting_forward(graph, params):
+        h, cache = real_forward(graph, params)
+        forwards.append(h.copy())
+        return h, cache
+
+    def capturing_cluster(adjacency, embeddings, node_ids, **kw):
+        clustered.append(np.array(embeddings, dtype=float))
+        return real_cluster(adjacency, embeddings, node_ids, **kw)
+
+    monkeypatch.setattr(tcto.encoder, "rgcn_forward", counting_forward)
+    monkeypatch.setattr(tcto.pipeline, "cluster_nodes", capturing_cluster)
+    data = _product_dataset(seed=14)
+    # A random policy never calls train_step, so every forward is the step's own.
+    pipe = Pipeline(data, _tiny_cfg(random_policy=True, use_rgcn=True, episodes=2))
+    report = pipe.train()
+    assert len(forwards) == len(clustered) == len(report.records) == 10
+    roots = Roadmap.from_dataset(pipe.train_data).alive_nodes()
+    first = squash_stats(np.stack([n.stats.as_vector() for n in roots]))
+    for rec, h, emb in zip(report.records, forwards, clustered):
+        assert np.array_equal(emb, first if rec.step == 0 else h)
+
+
 def test_split_partitions_the_dataset():
     data = _product_dataset(seed=9)
     pipe = Pipeline(data, _tiny_cfg())
@@ -338,12 +367,6 @@ def test_checkpoint_roundtrip_reproduces_the_application_run(tmp_path):
     assert got.best_roadmap_json == want.best_roadmap_json
 
 
-def test_run_application_needs_a_checkpoint():
-    data = _product_dataset(seed=11)
-    with pytest.raises(PipelineError):
-        run_application(data, _tiny_cfg(), None)
-
-
 def test_checkpoint_mode_mismatch_is_rejected():
     data = _product_dataset(seed=12)
     cfg = _tiny_cfg(episodes=1, steps_per_episode=2)
@@ -360,10 +383,10 @@ def test_checkpoint_mode_mismatch_is_rejected():
     with pytest.raises(PipelineError):
         Pipeline(data, cfg).load_checkpoint(bad)
 
-
-def test_run_training_helper_matches_the_class_entry(tmp_path):
-    data = _product_dataset(seed=13)
-    cfg = _tiny_cfg(episodes=1, steps_per_episode=3)
-    a = run_training(data, cfg)
-    b = Pipeline(data, cfg).train()
-    assert [record_to_json(r) for r in a.records] == [record_to_json(r) for r in b.records]
+    one_layer = copy.deepcopy(cp)
+    del one_layer["encoder"]["layers"][1:]
+    three_relations = copy.deepcopy(cp)
+    del three_relations["encoder"]["layers"][0][3:]
+    for truncated in (one_layer, three_relations):
+        with pytest.raises(PipelineError):
+            Pipeline(data, cfg).load_checkpoint(truncated)

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grow_random_roadmap, make_classification_dataset, make_regression_dataset
+from helpers import grow_random_roadmap, make_regression_dataset
 from tcto.evaluator import mutual_information
 from tcto.opset import OP_BY_NAME, apply_binary, apply_unary
 from tcto.roadmap import (
     Roadmap,
     RoadmapError,
     SchemaError,
-    init_roadmap,
     node_signature,
 )
 
@@ -114,13 +113,6 @@ def test_roadmap_requires_unique_column_names():
         Roadmap(())
 
 
-def test_init_roadmap_matches_classmethod():
-    d = make_classification_dataset(n=8, p=2)
-    assert init_roadmap(d, lineage="x").export_json() == Roadmap.from_dataset(
-        d, lineage="x"
-    ).export_json()
-
-
 # -- graph views -----------------------------------------------------------------
 
 
@@ -143,7 +135,7 @@ def test_edges_and_adjacency_follow_alive_nodes():
 def test_stats_matrix_rows_follow_alive_id_order():
     _, r, cols = _fresh()
     r.add_node(ADD, (0, 1), cols[0] + cols[1])
-    m = r.stats_matrix()
+    m = np.stack([n.stats.as_vector() for n in r.alive_nodes()])
     assert m.shape == (4, 7)
     assert m[3, 0] == pytest.approx(float(np.mean(cols[0] + cols[1])))
 
