@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import encoder as enc
-from .nnsub import DenseNet, backprop, clone, copy_params, forward, forward_cache, sgd_step
-from .nnsub import add_grads, zero_grads
+from .nnsub import DenseNet, add_grads, backprop, clone, copy_params, forward, forward_cache
+from .nnsub import sgd_step, zero_grads
 
 HEAD = "head"
 OPERATION = "operation"
@@ -115,16 +115,18 @@ def train_step(
 
     Returns the pre-update mean loss, or None while the buffer is short.
     When an encoder is given, transitions carrying state_ctx are re-encoded
-    through it and the loss gradient also updates the encoder parameters.
+    through it and the loss gradient also updates the encoder parameters;
+    transitions without state_ctx add nothing to the encoder's gradient.
     """
     if len(agent.buffer) < batch_size:
         return None
     picks = rng.choice(len(agent.buffer), size=batch_size, replace=False)
     batch = [agent.buffer[int(i)] for i in picks]
 
-    acc = zero_grads(agent.prediction)
-    enc_acc = enc.encoder_zero_grads(encoder) if encoder is not None else None
-    enc_used = False
+    params = agent.prediction.params
+    if encoder is not None:
+        params = params + encoder.params
+    acc = zero_grads(params)
     total_loss = 0.0
     for t in batch:
         state_cache = None
@@ -144,15 +146,11 @@ def train_step(
         dy = np.zeros_like(out)
         dy[a] = 2.0 * diff
         grads, dx = backprop(agent.prediction, cache, dy)
-        add_grads(acc, grads, 1.0 / batch_size)
         if state_cache is not None:
-            rgrads, ograds = enc.state_backward(encoder, state_cache, dx)
-            enc.encoder_add_grads(enc_acc, rgrads, ograds, 1.0 / batch_size)
-            enc_used = True
+            grads = grads + enc.state_backward(encoder, state_cache, dx)
+        add_grads(acc[: len(grads)], grads, 1.0 / batch_size)
 
-    sgd_step(agent.prediction, acc, lr)
-    if enc_used:
-        enc.encoder_sgd_step(encoder, enc_acc, lr)
+    sgd_step(params, acc, lr)
     return total_loss / batch_size
 
 

@@ -90,6 +90,11 @@ class RGCNParams:
     def out_dim(self) -> int:
         return self.layers[-1][0].shape[1]
 
+    @property
+    def params(self) -> list:
+        """The live weights, layer by layer, relations in order within a layer."""
+        return [w for layer in self.layers for w in layer]
+
 
 def _message_operator(graph: GraphSnapshot) -> np.ndarray:
     """P with P[i, p] = 1/|parents(i)| for each alive parent p of node i."""
@@ -133,40 +138,26 @@ def rgcn_forward(graph: GraphSnapshot, params: RGCNParams):
     return h, cache
 
 
-def rgcn_backward(params: RGCNParams, cache, d_out: np.ndarray):
-    """Parameter gradients for a scalar loss, given d(loss)/d(embeddings)."""
+def rgcn_backward(params: RGCNParams, cache, d_out: np.ndarray) -> list:
+    """Gradients for a scalar loss, given d(loss)/d(embeddings); aligned
+    with params.params."""
     graph, p, rows_by_rel, inputs, msgs_all, pre = cache
+    width = params.n_relations + 1
     self_idx = params.n_relations
-    grads = rgcn_zero_grads(params)
+    grads = [np.zeros_like(w) for w in params.params]
     last = len(params.layers) - 1
     da = np.asarray(d_out, dtype=float)
     for l in range(last, -1, -1):
         dz = da if l == last else da * (pre[l] > 0.0)
         layer = params.layers[l]
         h, msgs = inputs[l], msgs_all[l]
-        grads[l][self_idx] += h.T @ dz
+        grads[l * width + self_idx] += h.T @ dz
         dmsgs = np.zeros_like(msgs)
         for rel, rows in rows_by_rel:
-            grads[l][rel] += msgs[rows].T @ dz[rows]
+            grads[l * width + rel] += msgs[rows].T @ dz[rows]
             dmsgs[rows] = dz[rows] @ layer[rel].T
         da = dz @ layer[self_idx].T + p.T @ dmsgs
     return grads
-
-
-def rgcn_zero_grads(params: RGCNParams) -> list:
-    return [[np.zeros_like(w) for w in layer] for layer in params.layers]
-
-
-def rgcn_add_grads(acc, grads, scale: float = 1.0) -> None:
-    for al, gl in zip(acc, grads):
-        for aw, gw in zip(al, gl):
-            aw += scale * gw
-
-
-def rgcn_sgd_step(params: RGCNParams, grads, lr: float) -> None:
-    for layer, gl in zip(params.layers, grads):
-        for w, gw in zip(layer, gl):
-            w -= lr * gw
 
 
 # -- composite agent states ----------------------------------------------
@@ -188,6 +179,10 @@ class Encoder:
     @property
     def out_dim(self) -> int:
         return self.rgcn.out_dim
+
+    @property
+    def params(self) -> list:
+        return self.rgcn.params + [self.op_table]
 
 
 @dataclass(frozen=True)
@@ -228,8 +223,9 @@ def state_forward(encoder: Encoder, graph: GraphSnapshot, spec: StateSpec):
     return np.concatenate(parts), cache
 
 
-def state_backward(encoder: Encoder, cache, dx: np.ndarray):
-    """Split dx back onto the pooled groups; returns (rgcn grads, op grads)."""
+def state_backward(encoder: Encoder, cache, dx: np.ndarray) -> list:
+    """Split dx back onto the pooled groups; returns grads aligned with
+    encoder.params."""
     graph, spec, rcache, h_shape = cache
     m, d = h_shape
     dh = np.zeros((m, d))
@@ -244,26 +240,4 @@ def state_backward(encoder: Encoder, cache, dx: np.ndarray):
         offset += d
     if offset != dx.shape[0]:
         raise ValueError("dx length does not match the state layout")
-    return rgcn_backward(encoder.rgcn, rcache, dh), op_grads
-
-
-@dataclass
-class EncoderGrads:
-    rgcn: list
-    op_table: np.ndarray
-
-
-def encoder_zero_grads(encoder: Encoder) -> EncoderGrads:
-    return EncoderGrads(
-        rgcn=rgcn_zero_grads(encoder.rgcn), op_table=np.zeros_like(encoder.op_table)
-    )
-
-
-def encoder_add_grads(acc: EncoderGrads, rgcn_grads, op_grads, scale: float = 1.0) -> None:
-    rgcn_add_grads(acc.rgcn, rgcn_grads, scale)
-    acc.op_table += scale * op_grads
-
-
-def encoder_sgd_step(encoder: Encoder, grads: EncoderGrads, lr: float) -> None:
-    rgcn_sgd_step(encoder.rgcn, grads.rgcn, lr)
-    encoder.op_table -= lr * grads.op_table
+    return rgcn_backward(encoder.rgcn, rcache, dh) + [op_grads]

@@ -2,6 +2,12 @@
 
 Everything the value networks need and nothing more: forward, gradients
 of a scalar loss, SGD updates, and parameter copies between twin networks.
+
+Every trained object (a DenseNet here, the graph encoder in encoder.py)
+exposes its live arrays as one flat, ordered ``params`` list, and every
+gradient is a list aligned with it position by position. zero_grads,
+add_grads and sgd_step work on such lists, so one set of helpers serves
+the value networks and the encoder alike.
 """
 
 from __future__ import annotations
@@ -32,6 +38,11 @@ class DenseNet:
     @property
     def dims(self) -> tuple:
         return tuple([self.weights[0].shape[0]] + [w.shape[1] for w in self.weights])
+
+    @property
+    def params(self) -> list:
+        """The live arrays in the order W0, b0, W1, b1, ..."""
+        return [p for wb in zip(self.weights, self.biases) for p in wb]
 
 
 def glorot_uniform(d_in: int, d_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -68,43 +79,41 @@ def forward_cache(net: DenseNet, x):
 def backprop(net: DenseNet, cache, dy):
     """Gradients of a scalar loss given d(loss)/d(output); returns (grads, dx).
 
-    grads is a list of (dW, db) aligned with the layers; dx matches the input.
+    grads is aligned with net.params (dW0, db0, dW1, db1, ...); dx matches
+    the input.
     """
     activations, pre, squeeze = cache
     dy = np.asarray(dy, dtype=float)
     da = dy[None, :] if squeeze else dy
-    grads: list = [None] * len(net.weights)
+    grads: list = [None] * (2 * len(net.weights))
     last = len(net.weights) - 1
     for i in range(last, -1, -1):
         dz = da if i == last else da * (pre[i] > 0.0)
-        grads[i] = (activations[i].T @ dz, dz.sum(axis=0))
+        grads[2 * i] = activations[i].T @ dz
+        grads[2 * i + 1] = dz.sum(axis=0)
         da = dz @ net.weights[i].T
     return grads, (da[0] if squeeze else da)
 
 
-def zero_grads(net: DenseNet) -> list:
-    return [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)]
+def zero_grads(params: list) -> list:
+    return [np.zeros_like(p) for p in params]
 
 
 def add_grads(acc: list, grads: list, scale: float = 1.0) -> None:
-    for (aw, ab), (gw, gb) in zip(acc, grads):
-        aw += scale * gw
-        ab += scale * gb
+    for a, g in zip(acc, grads, strict=True):
+        a += scale * g
 
 
-def sgd_step(net: DenseNet, grads: list, lr: float) -> None:
-    for (w, b), (gw, gb) in zip(zip(net.weights, net.biases), grads):
-        w -= lr * gw
-        b -= lr * gb
+def sgd_step(params: list, grads: list, lr: float) -> None:
+    for p, g in zip(params, grads, strict=True):
+        p -= lr * g
 
 
 def copy_params(src: DenseNet, dst: DenseNet) -> None:
     if src.dims != dst.dims:
         raise ValueError(f"shape mismatch: {src.dims} vs {dst.dims}")
-    for ws, wd in zip(src.weights, dst.weights):
-        wd[...] = ws
-    for bs, bd in zip(src.biases, dst.biases):
-        bd[...] = bs
+    for ps, pd in zip(src.params, dst.params):
+        pd[...] = ps
 
 
 def clone(net: DenseNet) -> DenseNet:

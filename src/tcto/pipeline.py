@@ -353,17 +353,14 @@ class Pipeline:
             raise PipelineError("checkpoint encoder mode does not match use_rgcn")
         try:
             for role, a in self.agents.items():
-                _obj_into_net(source["agents"][role]["prediction"], a.prediction)
-                _obj_into_net(source["agents"][role]["target"], a.target)
+                for key in ("prediction", "target"):
+                    obj = source["agents"][role][key]
+                    pairs = zip(obj["weights"], obj["biases"], strict=True)
+                    _fill(getattr(a, key).params, [arr for wb in pairs for arr in wb])
             if self.cfg.use_rgcn:
                 stored = source["encoder"]
-                layers = zip(self.encoder.rgcn.layers, stored["layers"], strict=True)
-                for layer, arrs in layers:
-                    for w, arr in zip(layer, arrs, strict=True):
-                        w[...] = np.asarray(arr, dtype=float).reshape(w.shape)
-                self.encoder.op_table[...] = np.asarray(
-                    stored["op_table"], dtype=float
-                ).reshape(self.encoder.op_table.shape)
+                flat = [arr for layer in stored["layers"] for arr in layer]
+                _fill(self.encoder.params, flat + [stored["op_table"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise PipelineError(f"checkpoint does not fit this pipeline: {exc}") from exc
         self.trained = True
@@ -670,11 +667,10 @@ def _net_to_obj(net) -> dict:
     }
 
 
-def _obj_into_net(obj: dict, net) -> None:
-    for w, arr in zip(net.weights, obj["weights"], strict=True):
-        w[...] = np.asarray(arr, dtype=float).reshape(w.shape)
-    for b, arr in zip(net.biases, obj["biases"], strict=True):
-        b[...] = np.asarray(arr, dtype=float).reshape(b.shape)
+def _fill(params: list, stored: list) -> None:
+    """Overwrite each live array in place with its stored counterpart."""
+    for p, arr in zip(params, stored, strict=True):
+        p[...] = np.asarray(arr, dtype=float).reshape(p.shape)
 
 
 def record_to_json(rec: StepRecord) -> str:

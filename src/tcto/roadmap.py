@@ -60,7 +60,6 @@ class Snapshot:
 
     lineage: str
     alive_ids: frozenset
-    signatures: dict
     score: float
 
 
@@ -217,7 +216,6 @@ class Roadmap:
         return Snapshot(
             lineage=self.lineage,
             alive_ids=frozenset(self.alive_ids()),
-            signatures=dict(self._index),
             score=float(score),
         )
 

@@ -46,22 +46,30 @@ class StatEmbedding:
 
 
 def column_stats(v) -> StatEmbedding:
-    """Mean, population std, min, max and linearly interpolated quartiles."""
+    """Mean, population std, min, max and linearly interpolated quartiles.
+
+    Near the float limit the sums and the quantile interpolation overflow,
+    so a column whose plain statistics are not all finite is summarised as
+    v / s and scaled back by s, a power of two that brings max|v| into
+    [1, 2); the scaling itself is exact.
+    """
     v = np.asarray(v, dtype=float)
     if v.size == 0:
         raise DataError("cannot compute statistics of an empty column")
     if not np.all(np.isfinite(v)):
         raise DataError("column contains non-finite values")
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = _plain_stats(v)
+    if not np.all(np.isfinite(stats)):
+        s = 2.0 ** (math.frexp(float(np.max(np.abs(v))))[1] - 1)
+        stats = _plain_stats(v / s) * s
+    return StatEmbedding(*(float(x) for x in stats))
+
+
+def _plain_stats(v: np.ndarray) -> np.ndarray:
+    """The seven statistics in StatEmbedding field order."""
     q1, med, q3 = np.quantile(v, [0.25, 0.5, 0.75])
-    return StatEmbedding(
-        mean=float(v.mean()),
-        std=float(v.std()),
-        vmin=float(v.min()),
-        vmax=float(v.max()),
-        q1=float(q1),
-        median=float(med),
-        q3=float(q3),
-    )
+    return np.array([v.mean(), v.std(), v.min(), v.max(), q1, med, q3])
 
 
 @dataclass(frozen=True)

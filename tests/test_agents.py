@@ -376,3 +376,21 @@ def test_without_an_encoder_the_stored_inputs_are_used_and_it_stays_frozen():
     got = train_step(agent, np.random.default_rng(30), gamma=0.0, lr=0.0, batch_size=BATCH)
     assert got == pytest.approx((q0 - 0.5) ** 2, rel=1e-10)
     assert np.array_equal(enc2.op_table, table_before)
+
+
+def test_context_free_transitions_leave_the_encoder_bit_identical():
+    enc2, _, _, agent = _encoded_setup(31)
+    rng = np.random.default_rng(32)
+    for _ in range(8):
+        push_transition(agent, _terminal(rng.normal(size=6), 1.0))
+    before = [p.copy() for p in enc2.params]
+    pred_before = [p.copy() for p in agent.prediction.params]
+    loss = train_step(
+        agent, np.random.default_rng(33), gamma=0.9, lr=0.05, batch_size=BATCH, encoder=enc2
+    )
+    assert loss is not None and loss > 0.0
+    for b, p in zip(before, enc2.params, strict=True):
+        assert b.tobytes() == p.tobytes()
+    assert any(
+        not np.array_equal(b, p) for b, p in zip(pred_before, agent.prediction.params)
+    )

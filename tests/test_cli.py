@@ -330,6 +330,38 @@ def test_missing_label_column_exits_two(tmp_path, fast_config_path, capsys):
     capsys.readouterr()
 
 
+def test_train_on_a_column_at_the_float_limit_exits_zero(tmp_path, fast_config_path, capsys):
+    rng = np.random.default_rng(3)
+    n = 60
+    huge = np.where(np.arange(n) % 2 == 0, -1e308, 1e308)
+    x = rng.normal(size=n)
+    d = Dataset(
+        column_names=("huge", "x"),
+        columns=(huge, x),
+        labels=x + 0.1 * rng.normal(size=n),
+        task="regression",
+    )
+    csv_path = tmp_path / "huge.csv"
+    write_csv(d, csv_path)
+    code = main(
+        [
+            "train",
+            "--data",
+            str(csv_path),
+            "--task",
+            "reg",
+            "--label",
+            "label",
+            "--out",
+            str(tmp_path / "run"),
+            "--config",
+            fast_config_path,
+        ]
+    )
+    assert code == 0
+    capsys.readouterr()
+
+
 # -- apply ------------------------------------------------------------------------------
 
 

@@ -11,21 +11,16 @@ from tcto.encoder import (
     RGCNParams,
     StateSpec,
     cluster_rep,
-    encoder_add_grads,
-    encoder_sgd_step,
-    encoder_zero_grads,
     op_one_hot_by_id,
     op_rep,
-    rgcn_add_grads,
     rgcn_backward,
     rgcn_forward,
-    rgcn_sgd_step,
-    rgcn_zero_grads,
     snapshot_from_roadmap,
     squash_stats,
     state_backward,
     state_forward,
 )
+from tcto.nnsub import add_grads, sgd_step, zero_grads
 from tcto.opset import N_OPERATIONS, OP_BY_NAME, apply_binary, apply_unary
 from tcto.roadmap import Roadmap
 
@@ -190,9 +185,8 @@ def test_backward_matches_central_differences(seed):
 
     _, cache = rgcn_forward(graph, params)
     grads = rgcn_backward(params, cache, c)
-    for l, layer in enumerate(params.layers):
-        for r, w in enumerate(layer):
-            assert fd_close(grads[l][r], central_difference(loss, w), tol=1e-4)
+    for g, w in zip(grads, params.params, strict=True):
+        assert fd_close(g, central_difference(loss, w), tol=1e-4)
 
 
 def test_relation_weights_without_edges_get_zero_gradient():
@@ -203,20 +197,48 @@ def test_relation_weights_without_edges_get_zero_gradient():
     )
     h, cache = rgcn_forward(graph, params)
     grads = rgcn_backward(params, cache, np.ones_like(h))
+    width = N_REL + 1
     for l in range(2):
-        assert np.any(grads[l][0] != 0.0)
-        assert np.all(grads[l][1] == 0.0)
-        assert np.all(grads[l][2] == 0.0)
+        assert np.any(grads[l * width + 0] != 0.0)
+        assert np.all(grads[l * width + 1] == 0.0)
+        assert np.all(grads[l * width + 2] == 0.0)
+
+
+def test_params_are_the_live_weights_layer_by_layer():
+    params = RGCNParams.create(np.random.default_rng(17), dims=SMALL_DIMS, n_relations=N_REL)
+    flat = params.params
+    assert len(flat) == 2 * (N_REL + 1)
+    assert flat[N_REL + 1] is params.layers[1][0]
+    flat[-1][0, 0] = 42.0
+    assert params.layers[1][N_REL][0, 0] == 42.0
+
+    enc = Encoder.create(np.random.default_rng(18), dims=SMALL_DIMS, n_relations=N_REL)
+    assert enc.params[-1] is enc.op_table
+    enc.params[0][0, 0] = -7.0
+    assert enc.rgcn.layers[0][0][0, 0] == -7.0
+
+
+def test_backward_returns_one_gradient_per_param():
+    enc = Encoder.create(np.random.default_rng(19), dims=SMALL_DIMS, n_relations=N_REL)
+    graph = _snapshot(21, max_nodes=5)
+    h, rcache = rgcn_forward(graph, enc.rgcn)
+    rgrads = rgcn_backward(enc.rgcn, rcache, np.ones_like(h))
+    assert [g.shape for g in rgrads] == [w.shape for w in enc.rgcn.params]
+
+    spec = StateSpec(groups=((0,),), op_id=1)
+    x, cache = state_forward(enc, graph, spec)
+    grads = state_backward(enc, cache, np.ones_like(x))
+    assert [g.shape for g in grads] == [w.shape for w in enc.params]
 
 
 def test_gradient_helpers_accumulate_and_step():
     params = RGCNParams.create(np.random.default_rng(10), dims=(7, 3), n_relations=N_REL)
-    acc = rgcn_zero_grads(params)
-    ones = [[np.ones_like(w) for w in layer] for layer in params.layers]
-    rgcn_add_grads(acc, ones, scale=0.25)
-    rgcn_add_grads(acc, ones, scale=0.75)
+    acc = zero_grads(params.params)
+    ones = [np.ones_like(w) for w in params.params]
+    add_grads(acc, ones, scale=0.25)
+    add_grads(acc, ones, scale=0.75)
     before = params.layers[0][0].copy()
-    rgcn_sgd_step(params, acc, lr=0.5)
+    sgd_step(params.params, acc, lr=0.5)
     assert np.allclose(params.layers[0][0], before - 0.5)
 
 
@@ -267,11 +289,12 @@ def test_state_backward_splits_dx_across_groups_and_op_table():
     spec = StateSpec(groups=groups, op_id=0)
     x, cache = state_forward(enc, graph, spec)
     v = np.random.default_rng(15).normal(size=x.shape)
-    rgcn_grads, op_grads = state_backward(enc, cache, v)
+    grads = state_backward(enc, cache, v)
+    op_grads = grads[-1]
     d = enc.out_dim
     assert np.array_equal(op_grads[0], v[-d:])
     assert np.all(op_grads[1:] == 0.0)
-    assert len(rgcn_grads) == len(enc.rgcn.layers)
+    assert len(grads) == len(enc.params)
 
     with pytest.raises(ValueError):
         state_backward(enc, cache, v[:-1])
@@ -299,11 +322,9 @@ def test_state_gradients_match_central_differences(seed):
         return float(x @ v)
 
     _, cache = state_forward(enc, graph, spec)
-    rgcn_grads, op_grads = state_backward(enc, cache, v)
-    assert fd_close(op_grads, central_difference(loss, enc.op_table), tol=1e-4)
-    for l, layer in enumerate(enc.rgcn.layers):
-        for r, w in enumerate(layer):
-            assert fd_close(rgcn_grads[l][r], central_difference(loss, w), tol=1e-4)
+    grads = state_backward(enc, cache, v)
+    for g, w in zip(grads, enc.params, strict=True):
+        assert fd_close(g, central_difference(loss, w), tol=1e-4)
 
 
 def test_encoder_create_shapes_and_grad_plumbing():
@@ -312,12 +333,10 @@ def test_encoder_create_shapes_and_grad_plumbing():
     assert enc.out_dim == 64
     assert enc.op_table.shape == (N_OPERATIONS, 64)
 
-    acc = encoder_zero_grads(enc)
-    op_g = np.ones_like(enc.op_table)
-    rgcn_g = [[np.ones_like(w) for w in layer] for layer in enc.rgcn.layers]
-    encoder_add_grads(acc, rgcn_g, op_g, scale=2.0)
+    acc = zero_grads(enc.params)
+    add_grads(acc, [np.ones_like(w) for w in enc.params], scale=2.0)
     before_w = enc.rgcn.layers[0][0].copy()
     before_t = enc.op_table.copy()
-    encoder_sgd_step(enc, acc, lr=0.1)
+    sgd_step(enc.params, acc, lr=0.1)
     assert np.allclose(enc.rgcn.layers[0][0], before_w - 0.2)
     assert np.allclose(enc.op_table, before_t - 0.2)

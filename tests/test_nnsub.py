@@ -114,9 +114,8 @@ def test_loss_is_zero_when_the_target_matches_the_output():
     y = forward(net, x)
     loss, grads = _mse(net, x, y)
     assert loss == 0.0
-    for gw, gb in grads:
-        assert np.all(gw == 0.0)
-        assert np.all(gb == 0.0)
+    for g in grads:
+        assert np.all(g == 0.0)
 
 
 def test_doubling_the_residual_quadruples_the_loss():
@@ -151,9 +150,26 @@ def test_parameter_gradients_match_central_differences(seed):
     net, x, target = _kink_free_instance(seed)
     loss_fn = lambda: _mse(net, x, target)[0]
     _, grads = _mse(net, x, target)
-    for layer, (gw, gb) in enumerate(grads):
-        assert fd_close(gw, central_difference(loss_fn, net.weights[layer]), tol=1e-4)
-        assert fd_close(gb, central_difference(loss_fn, net.biases[layer]), tol=1e-4)
+    for g, p in zip(grads, net.params, strict=True):
+        assert fd_close(g, central_difference(loss_fn, p), tol=1e-4)
+
+
+def test_params_are_the_live_arrays_in_layer_order():
+    net = _net([3, 4, 2], seed=11)
+    params = net.params
+    assert [p.shape for p in params] == [(3, 4), (4,), (4, 2), (2,)]
+    assert params[0] is net.weights[0] and params[1] is net.biases[0]
+    assert params[2] is net.weights[1] and params[3] is net.biases[1]
+    params[3][0] = 42.0
+    assert net.biases[1][0] == 42.0
+
+
+def test_backprop_returns_one_gradient_per_param():
+    net = _net([3, 5, 4, 2], seed=12)
+    _, grads = _mse(net, [0.1, -0.4, 2.0], [1.0, -1.0])
+    assert len(grads) == len(net.params)
+    for g, p in zip(grads, net.params):
+        assert g.shape == p.shape
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -173,7 +189,7 @@ def test_sgd_with_zero_learning_rate_changes_nothing():
     before = [w.copy() for w in net.weights] + [b.copy() for b in net.biases]
     loss, grads = _mse(net, [1.0, -1.0], [0.5])
     assert loss > 0.0
-    sgd_step(net, grads, lr=0.0)
+    sgd_step(net.params, grads, lr=0.0)
     after = list(net.weights) + list(net.biases)
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
@@ -185,20 +201,20 @@ def test_single_bias_quadratic_takes_the_textbook_step():
     net.biases[0][:] = 0.0
     loss, grads = _mse(net, [0.0], [1.0])
     assert loss == 1.0
-    sgd_step(net, grads, lr=0.1)
+    sgd_step(net.params, grads, lr=0.1)
     assert net.biases[0][0] == pytest.approx(0.2, abs=1e-15)
     assert net.weights[0][0, 0] == 0.0
 
 
 def test_gradient_accumulation_scales_and_sums():
     net = _net([2, 2], seed=6)
-    acc = zero_grads(net)
+    acc = zero_grads(net.params)
     _, g = _mse(net, [1.0, 2.0], [0.0, 0.0])
     add_grads(acc, g, scale=0.5)
     add_grads(acc, g, scale=0.5)
-    for (aw, ab), (gw, gb) in zip(acc, g):
-        assert np.allclose(aw, gw)
-        assert np.allclose(ab, gb)
+    assert len(acc) == len(g) == 2
+    for a, gi in zip(acc, g):
+        assert np.allclose(a, gi)
 
 
 def test_hundred_sgd_steps_monotonically_fit_a_linear_toy():
@@ -208,14 +224,14 @@ def test_hundred_sgd_steps_monotonically_fit_a_linear_toy():
     net = _net([2, 4, 1], seed=7)
     losses = []
     for _ in range(100):
-        acc = zero_grads(net)
+        acc = zero_grads(net.params)
         total = 0.0
         for x, y in zip(xs, ys):
             loss, grads = _mse(net, x, y)
             total += loss
             add_grads(acc, grads, scale=1.0 / len(xs))
         losses.append(total / len(xs))
-        sgd_step(net, acc, lr=0.01)
+        sgd_step(net.params, acc, lr=0.01)
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
     assert losses[-1] < losses[0]
 

@@ -85,6 +85,25 @@ def test_quartiles_are_sorted(values):
     assert s.std >= 0.0
 
 
+@pytest.mark.parametrize(
+    "values", [[-1e308, 1e308], [-1e308, -1e308, 1e308, 1e308, 1e308]]
+)
+def test_stats_near_the_float_limit_are_finite_and_ordered(values):
+    s = column_stats(values)
+    assert np.all(np.isfinite(s.as_vector()))
+    assert (s.vmin, s.vmax) == (min(values), max(values))
+    assert s.vmin <= s.q1 <= s.median <= s.q3 <= s.vmax
+    assert s.vmin <= s.mean <= s.vmax
+    assert s.std >= 0.0
+
+
+def test_stats_that_do_not_overflow_keep_their_plain_values():
+    v = np.array([1e150, -3e149, 7.0, 2.5e149])
+    s = column_stats(v)
+    q1, med, q3 = np.quantile(v, [0.25, 0.5, 0.75])
+    assert (s.mean, s.std, s.q1, s.median, s.q3) == (v.mean(), v.std(), q1, med, q3)
+
+
 def test_stats_reject_empty_and_non_finite():
     with pytest.raises(DataError):
         column_stats([])
