@@ -3,6 +3,13 @@
 A small CART random forest written directly on numpy, scored with seeded
 k-fold cross validation: macro-F1 for classification, 1-RAE for regression.
 Also provides the binned mutual-information estimate used for pruning.
+
+Trees grow depth first from one seeded generator per tree, which draws each
+node's candidate features. A node scores all of its candidates in one pass
+over its (rows x candidates) block, so the per-node cost is a handful of
+numpy calls whatever the number of candidates; the arithmetic and its order
+are those of a per-feature scan (tests/oracles.py keeps one), so every
+threshold, and every score, is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -55,72 +62,76 @@ def _gini(counts: np.ndarray, total: np.ndarray) -> np.ndarray:
 
 
 def _best_split(X, y, idx, feats, task, n_classes):
-    """Scan each candidate feature for the impurity-minimizing threshold.
+    """Find the impurity-minimizing (feature, threshold) over all candidates.
 
-    Candidate thresholds are the midpoints between consecutive distinct
-    sorted values. Returns (feature, threshold) or None when nothing gains.
+    One pass over the node's (n, k) block scores every candidate feature at
+    once: a stable sort of each column, cumulative label sums along the
+    sorted rows, and one best cut per feature. Candidate thresholds are the
+    midpoints between consecutive distinct sorted values. Among features the
+    largest gain wins, the lowest feature on ties, as a strict '>' scan in
+    ascending feature order would pick. Returns (feature, threshold) or None
+    when nothing gains more than _MIN_GAIN.
     """
     n = idx.shape[0]
+    cols = np.arange(feats.shape[0])
+    block = X[idx[:, None], feats]
+    order = np.argsort(block, axis=0, kind="stable")
+    xs_s = block[order, cols]
+    n_left = np.arange(1.0, n)[:, None]
+    n_right = n - n_left
     ys_all = y[idx]
-    if task == CLASSIFICATION:
-        ys_int = ys_all.astype(int)
-        parent_counts = np.bincount(ys_int, minlength=n_classes).astype(float)
-        parent_imp = float(_gini(parent_counts, np.array(float(n))))
-    else:
-        parent_imp = float(ys_all.var())
-
-    best_gain = _MIN_GAIN
-    best: tuple[int, float] | None = None
-    for f in feats:
-        xs = X[idx, f]
-        order = np.argsort(xs, kind="stable")
-        xs_s = xs[order]
-        cuts = np.flatnonzero(xs_s[1:] > xs_s[:-1])
-        if cuts.size == 0:
-            continue
-        n_left = (cuts + 1).astype(float)
-        n_right = n - n_left
+    # Every cut is scored and the invalid ones masked afterwards, so
+    # overflow there is expected and not worth a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
         if task == CLASSIFICATION:
-            ys = ys_int[order]
-            onehot = np.zeros((n, n_classes))
-            onehot[np.arange(n), ys] = 1.0
+            ys_int = ys_all.astype(int)
+            parent_counts = np.bincount(ys_int, minlength=n_classes).astype(float)
+            parent_imp = float(_gini(parent_counts, np.array(float(n))))
+            onehot = np.zeros((n, cols.shape[0], n_classes))
+            onehot[np.arange(n)[:, None], cols, ys_int[order]] = 1.0
             cum = onehot.cumsum(axis=0)
-            left_counts = cum[cuts]
+            left_counts = cum[:-1]
             right_counts = cum[-1] - left_counts
             child_imp = (
                 n_left * _gini(left_counts, n_left)
                 + n_right * _gini(right_counts, n_right)
             ) / n
         else:
+            # ys_all.var() spelled out: the same operations without the wrapper
+            d = ys_all - ys_all.sum() / n
+            parent_imp = float((d * d).sum() / n)
             ys = ys_all[order]
-            s1 = ys.cumsum()
-            s2 = (ys * ys).cumsum()
-            mean_l = s1[cuts] / n_left
-            var_l = np.maximum(s2[cuts] / n_left - mean_l * mean_l, 0.0)
-            mean_r = (s1[-1] - s1[cuts]) / n_right
-            var_r = np.maximum(
-                (s2[-1] - s2[cuts]) / n_right - mean_r * mean_r, 0.0
-            )
+            s1 = ys.cumsum(axis=0)
+            s2 = (ys * ys).cumsum(axis=0)
+            mean_l = s1[:-1] / n_left
+            var_l = np.maximum(s2[:-1] / n_left - mean_l * mean_l, 0.0)
+            mean_r = (s1[-1] - s1[:-1]) / n_right
+            var_r = np.maximum((s2[-1] - s2[:-1]) / n_right - mean_r * mean_r, 0.0)
             child_imp = (n_left * var_l + n_right * var_r) / n
         gains = parent_imp - child_imp
-        j = int(np.argmax(gains))
-        if gains[j] > best_gain:
-            best_gain = float(gains[j])
-            cut = cuts[j]
-            best = (int(f), float((xs_s[cut] + xs_s[cut + 1]) / 2.0))
-    return best
+    gains[~(xs_s[1:] > xs_s[:-1])] = -np.inf
+    # argmax takes a feature's first NaN gain as its best, which then loses
+    # to every feature, as the strict '>' does.
+    cut = gains.argmax(axis=0)
+    top = gains[cut, cols]
+    top[~(top > _MIN_GAIN)] = -np.inf
+    j = int(top.argmax())
+    if top[j] == -np.inf:
+        return None
+    c = cut[j]
+    return int(feats[j]), float((xs_s[c, j] + xs_s[c + 1, j]) / 2.0)
 
 
 def _leaf_value(y, idx, task, n_classes) -> float:
     ys = y[idx]
     if task == CLASSIFICATION:
         return float(np.bincount(ys.astype(int), minlength=n_classes).argmax())
-    return float(ys.mean())
+    return float(ys.sum() / ys.shape[0])  # ys.mean() without the wrapper
 
 
 def _grow(X, y, idx, depth, max_depth, feat_rng, n_subset, task, n_classes):
     ys = y[idx]
-    if depth >= max_depth or idx.shape[0] < 2 or np.all(ys == ys[0]):
+    if depth >= max_depth or idx.shape[0] < 2 or (ys == ys[0]).all():
         return _Node(value=_leaf_value(y, idx, task, n_classes))
     p = X.shape[1]
     if feat_rng is not None and n_subset < p:

@@ -13,6 +13,8 @@ import numpy as np
 from scipy.special import expit
 from scipy.stats import rankdata
 
+from .tabular import scaled_stat
+
 EPSILON = 1e-10
 REJECT_STD = 1e-12
 EXP_CLAMP = 50.0
@@ -124,7 +126,10 @@ def binary_values(op: Operation, a, b) -> np.ndarray:
 def _accept(out: np.ndarray) -> np.ndarray | None:
     if not np.all(np.isfinite(out)):
         return None
-    if float(out.std()) < REJECT_STD:
+    # Compared in units of the scale: near the float limit, rounding in the
+    # mean alone gives a constant column a std of about 1e-16 times it.
+    std, _ = scaled_stat(np.std, out)
+    if float(std) < REJECT_STD:
         return None
     return out
 

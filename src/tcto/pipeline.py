@@ -16,6 +16,7 @@ Pipeline._step runs the six stages of one step in order:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import time
@@ -295,6 +296,7 @@ class Pipeline:
         self.global_step = 0
         self._explore_budget = cfg.episodes * cfg.steps_per_episode
         self.trained = False
+        self._scores: dict = {}
 
     # -- public entry points -------------------------------------------------
 
@@ -435,7 +437,18 @@ class Pipeline:
         )
 
     def _evaluate(self, matrix: np.ndarray, data: Dataset) -> float:
-        return evaluate(matrix, data.labels, data.task, self.cfg.eval)
+        """Score matrix against data's labels, once per distinct matrix.
+
+        The split and the evaluation config are fixed for a Pipeline, so a
+        score depends only on which split it is and on the matrix bits.
+        """
+        matrix = np.ascontiguousarray(matrix, dtype=float)
+        key = (data is self.train_data, matrix.shape, hashlib.sha256(matrix).digest())
+        score = self._scores.get(key)
+        if score is None:
+            score = evaluate(matrix, data.labels, data.task, self.cfg.eval)
+            self._scores[key] = score
+        return score
 
     def _pick_index(self, agent_role: str, inputs: list, epsilon: float) -> int:
         if self.cfg.random_policy:

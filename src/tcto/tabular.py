@@ -48,22 +48,34 @@ class StatEmbedding:
 def column_stats(v) -> StatEmbedding:
     """Mean, population std, min, max and linearly interpolated quartiles.
 
-    Near the float limit the sums and the quantile interpolation overflow,
-    so a column whose plain statistics are not all finite is summarised as
-    v / s and scaled back by s, a power of two that brings max|v| into
-    [1, 2); the scaling itself is exact.
+    Near the float limit the sums and the quantile interpolation overflow;
+    see scaled_stat.
     """
     v = np.asarray(v, dtype=float)
     if v.size == 0:
         raise DataError("cannot compute statistics of an empty column")
     if not np.all(np.isfinite(v)):
         raise DataError("column contains non-finite values")
+    stats, s = scaled_stat(_plain_stats, v)
+    return StatEmbedding(*(float(x) for x in stats * s))
+
+
+def scaled_stat(stat, v: np.ndarray):
+    """(r, s) such that r * s is stat(v) computed without overflow.
+
+    r is stat(v) itself and s is 1.0 unless that result is not all finite,
+    which happens when sums or squares overflow near the float limit. Then
+    r is stat(v / s), with s the power of two that brings max|v| into
+    [1, 2), so the scaling itself is exact. stat must commute with scaling,
+    as a mean, std, min, max or quantile does; v must be finite and
+    non-empty.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        stats = _plain_stats(v)
-    if not np.all(np.isfinite(stats)):
-        s = 2.0 ** (math.frexp(float(np.max(np.abs(v))))[1] - 1)
-        stats = _plain_stats(v / s) * s
-    return StatEmbedding(*(float(x) for x in stats))
+        r = stat(v)
+    if np.all(np.isfinite(r)):
+        return r, 1.0
+    s = 2.0 ** (math.frexp(float(np.max(np.abs(v))))[1] - 1)
+    return stat(v / s), s
 
 
 def _plain_stats(v: np.ndarray) -> np.ndarray:

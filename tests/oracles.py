@@ -222,3 +222,69 @@ def blob_points(rng, m, k, dim=2):
             blob_of.append(b)
             i += 1
     return points, blob_of
+
+
+def best_split_reference(X, y, idx, feats, task, n_classes, min_gain=1e-12):
+    """The split search one feature at a time, as the package did before it
+    scored all candidate features of a node in one pass.
+
+    Each feature's rows are stably sorted, every cut between distinct
+    neighbours is scored, and the feature whose best gain beats the running
+    best with a strict '>' (starting from min_gain) wins; a feature whose
+    first maximal gain is NaN never wins. Returns (feature, threshold) or
+    None. It keeps the package's floating-point operations and their order,
+    so its results are comparable bit for bit.
+    """
+    n = idx.shape[0]
+    ys_all = y[idx]
+    if task == "classification":
+        ys_int = ys_all.astype(int)
+        parent_counts = np.bincount(ys_int, minlength=n_classes).astype(float)
+        frac = parent_counts / float(n)
+        parent_imp = float(1.0 - (frac * frac).sum())
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            parent_imp = float(ys_all.var())
+
+    def gini(counts, total):
+        frac = counts / total[:, None]
+        return 1.0 - (frac * frac).sum(axis=-1)
+
+    best_gain = min_gain
+    best = None
+    for f in feats:
+        xs = X[idx, f]
+        order = np.argsort(xs, kind="stable")
+        xs_s = xs[order]
+        cuts = np.flatnonzero(xs_s[1:] > xs_s[:-1])
+        if cuts.size == 0:
+            continue
+        n_left = (cuts + 1).astype(float)
+        n_right = n - n_left
+        with np.errstate(over="ignore", invalid="ignore"):
+            if task == "classification":
+                onehot = np.zeros((n, n_classes))
+                onehot[np.arange(n), ys_int[order]] = 1.0
+                cum = onehot.cumsum(axis=0)
+                left_counts = cum[cuts]
+                right_counts = cum[-1] - left_counts
+                child_imp = (
+                    n_left * gini(left_counts, n_left)
+                    + n_right * gini(right_counts, n_right)
+                ) / n
+            else:
+                ys = ys_all[order]
+                s1 = ys.cumsum()
+                s2 = (ys * ys).cumsum()
+                mean_l = s1[cuts] / n_left
+                var_l = np.maximum(s2[cuts] / n_left - mean_l * mean_l, 0.0)
+                mean_r = (s1[-1] - s1[cuts]) / n_right
+                var_r = np.maximum((s2[-1] - s2[cuts]) / n_right - mean_r * mean_r, 0.0)
+                child_imp = (n_left * var_l + n_right * var_r) / n
+            gains = parent_imp - child_imp
+        j = int(np.argmax(gains))
+        if gains[j] > best_gain:
+            best_gain = float(gains[j])
+            cut = cuts[j]
+            best = (int(f), float((xs_s[cut] + xs_s[cut + 1]) / 2.0))
+    return best

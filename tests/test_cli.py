@@ -1,11 +1,14 @@
 """Command line interface: artifacts, exit codes, environment overrides."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
-from tcto.cli import main
+from helpers import make_regression_dataset
+from tcto.cli import main, write_json
+from tcto.pipeline import Pipeline, RunConfig
 from tcto.roadmap import Roadmap
 from tcto.synth import write_csv
 from tcto.tabular import Dataset
@@ -512,3 +515,29 @@ def test_report_rejects_malformed_run_files(tmp_path, capsys, steps, summary):
 def test_report_rejects_a_non_run_directory(tmp_path, capsys):
     assert main(["report", "--run", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("use_rgcn", [True, False])
+def test_write_json_matches_json_dump_on_a_checkpoint(use_rgcn):
+    d = make_regression_dataset(n=60)
+    obj = Pipeline(d, RunConfig(use_rgcn=use_rgcn, hidden_size=8)).checkpoint()
+    assert _written(obj) == _dumped(obj)
+
+
+@pytest.mark.parametrize(
+    "obj", [{}, [], [[]], {"a": []}, [[1.0, 2.0], []], {"b": [1, {"c": [None]}], "a": 0.1}]
+)
+def test_write_json_matches_json_dump_on_edge_shapes(obj):
+    assert _written(obj) == _dumped(obj)
+
+
+def _written(obj):
+    fh = io.StringIO()
+    write_json(obj, fh)
+    return fh.getvalue()
+
+
+def _dumped(obj):
+    fh = io.StringIO()
+    json.dump(obj, fh, sort_keys=True)
+    return fh.getvalue()

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import plug_in_mi
+from oracles import best_split_reference, plug_in_mi
 from tcto.evaluator import (
     EvalConfig,
     TreeModel,
+    _best_split,
     evaluate,
     fit_forest,
     fit_model,
@@ -20,7 +21,7 @@ from tcto.evaluator import (
     one_minus_rae,
     predict,
 )
-from tcto.tabular import DataError
+from tcto.tabular import CLASSIFICATION, REGRESSION, DataError
 
 
 # -- metrics --------------------------------------------------------------------
@@ -84,6 +85,46 @@ def test_metrics_are_capped_at_one_and_reach_it_only_exactly(seed):
 
 
 # -- tree models -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 30),
+    p=st.integers(1, 6),
+    values=st.sampled_from(["tied", "normal", "huge"]),
+    constant=st.booleans(),
+    bootstrap=st.booleans(),
+    offset=st.sampled_from([0.0, 1e8]),
+)
+@settings(max_examples=150, deadline=None)
+def test_split_search_matches_the_per_feature_reference(
+    task, seed, n, p, values, constant, bootstrap, offset
+):
+    """Tied values, duplicated bootstrap rows, constant columns, two-row
+    nodes, +-1e300 magnitudes, where gains become inf or NaN, and labels
+    offset by 1e8, where the running variances cancel below zero."""
+    rng = np.random.default_rng(seed)
+    # "huge" scales a random part of the rows by 1e300, so sums of squares
+    # overflow part of the way along a sorted column.
+    scale = np.where(rng.random(n) < 0.5, 1e300, 1.0) if values == "huge" else np.ones(n)
+    if values == "tied":
+        X = rng.integers(0, 3, size=(n, p)).astype(float)
+    else:
+        X = rng.normal(size=(n, p)) * scale[:, None]
+    if constant:
+        X[:, int(rng.integers(p))] = 1.5
+    if task == CLASSIFICATION:
+        y = rng.integers(0, int(rng.integers(1, 11)), size=n).astype(float)
+        n_classes = int(y.max()) + 1
+    else:
+        y = rng.normal(size=n) * scale + offset
+        n_classes = 0
+    idx = np.sort(rng.integers(0, n, size=n)) if bootstrap else np.arange(n)
+    feats = np.sort(rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False))
+    assert _best_split(X, y, idx, feats, task, n_classes) == best_split_reference(
+        X, y, idx, feats, task, n_classes
+    )
 
 
 def test_single_threshold_feature_is_learned_perfectly():

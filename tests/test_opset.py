@@ -1,6 +1,7 @@
 """The seventeen feature-construction operations and their rejection rule."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,19 @@ def test_constant_output_is_rejected():
 
 def test_non_finite_output_is_rejected():
     assert apply_binary(OP_BY_NAME["multiply"], [1e200, 1.0], [1e200, 1.0]) is None
+
+
+def test_constant_output_near_the_float_limit_is_rejected():
+    half = np.full(60, 0.85e308)
+    assert apply_binary(OP_BY_NAME["add"], half, half) is None
+
+
+def test_spread_output_near_the_float_limit_is_accepted_quietly():
+    v = np.tile([-1e308, 1e308], 30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = apply_binary(OP_BY_NAME["add"], v, np.zeros(60))
+    assert np.array_equal(out, v)
 
 
 def test_useful_output_is_passed_through_unchanged():

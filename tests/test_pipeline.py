@@ -339,6 +339,71 @@ def test_each_step_runs_one_encoder_pass_and_clusters_on_it(monkeypatch):
         assert np.array_equal(emb, first if rec.step == 0 else h)
 
 
+# -- score memo ------------------------------------------------------------------------
+
+
+def _count_evaluate_calls(monkeypatch):
+    calls = []
+    real = tcto.pipeline.evaluate
+
+    def counting(X, y, task, cfg):
+        calls.append(X.shape)
+        return real(X, y, task, cfg)
+
+    monkeypatch.setattr(tcto.pipeline, "evaluate", counting)
+    return calls
+
+
+def test_a_repeated_greedy_episode_scores_nothing_again(monkeypatch):
+    calls = _count_evaluate_calls(monkeypatch)
+    data = _product_dataset(seed=15)
+    per_apply = []
+    for episodes in (1, 2):
+        pipe = Pipeline(data, _tiny_cfg(application_episodes=episodes))
+        pipe.train()
+        before = len(calls)
+        report = pipe.apply_policy()
+        per_apply.append(len(calls) - before)
+    second = [r for r in report.records if r.episode == 1]
+    assert sum(r.created + r.revived for r in second) > 0
+    assert per_apply[0] == per_apply[1]
+
+
+def test_memoised_scores_equal_direct_evaluation(monkeypatch):
+    calls = _count_evaluate_calls(monkeypatch)
+    served = []
+    real = Pipeline._evaluate
+
+    def recording(self, matrix, data):
+        score = real(self, matrix, data)
+        served.append((np.array(matrix), data, score))
+        return score
+
+    monkeypatch.setattr(Pipeline, "_evaluate", recording)
+    pipe = Pipeline(_product_dataset(seed=16), _tiny_cfg(application_episodes=2))
+    pipe.train()
+    pipe.apply_policy()
+    assert len(calls) < len(served)
+    for matrix, data, score in served:
+        assert score == evaluate(matrix, data.labels, data.task, FAST_EVAL)
+
+
+def test_train_and_test_scores_of_one_matrix_are_kept_apart(monkeypatch):
+    calls = _count_evaluate_calls(monkeypatch)
+    pipe = Pipeline(_product_dataset(n=40), _tiny_cfg(test_fraction=0.5))
+    train, test = pipe.train_data, pipe.test_data
+    assert train.n_rows == test.n_rows
+    matrix = np.random.default_rng(0).normal(size=(train.n_rows, 2))
+    for data in (train, test, train, test):
+        assert pipe._evaluate(matrix, data) == evaluate(
+            matrix, data.labels, data.task, FAST_EVAL
+        )
+    assert len(calls) == 2
+    assert evaluate(matrix, train.labels, "regression", FAST_EVAL) != evaluate(
+        matrix, test.labels, "regression", FAST_EVAL
+    )
+
+
 def test_split_partitions_the_dataset():
     data = _product_dataset(seed=9)
     pipe = Pipeline(data, _tiny_cfg())
