@@ -3,34 +3,17 @@
 Structure (the directed adjacency) and similarity (cosine over node
 embeddings) are fused into one Laplacian; its bottom eigenvectors give a
 spectral embedding that an average-linkage agglomerative pass partitions
-into k = max(2, round(sqrt(m))) clusters.
+into k = max(2, round(sqrt(m))) clusters. The result is the list of those
+clusters as groups of node ids, so the number of clusters is its length.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 _SIGN_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class ClusterAssignment:
-    """membership maps member id to a cluster index in 0..k-1.
-
-    Cluster indices are ordered by each cluster's smallest member id.
-    """
-
-    k: int
-    membership: dict
-
-    def groups(self) -> list:
-        out = [[] for _ in range(self.k)]
-        for member in sorted(self.membership):
-            out[self.membership[member]].append(member)
-        return out
 
 
 def cluster_count(m: int) -> int:
@@ -87,11 +70,12 @@ def spectral_embed(laplacian, dims: int) -> np.ndarray:
     return emb
 
 
-def hierarchical_cluster(rows, k: int) -> ClusterAssignment:
+def hierarchical_cluster(rows, k: int) -> list:
     """Average-linkage agglomerative clustering down to k clusters.
 
     Euclidean distances; merge ties resolve toward the pair with the lower
-    smallest member ids. Membership is keyed by row index.
+    smallest member ids. Returns k groups of row indices, each ascending,
+    ordered by their smallest row.
     """
     x = np.asarray(rows, dtype=float)
     m = x.shape[0]
@@ -107,12 +91,12 @@ def hierarchical_cluster(rows, k: int) -> ClusterAssignment:
     min_member = np.arange(m)
     members = [[i] for i in range(m)]
     np.fill_diagonal(dist, np.inf)
-    dist[~active] = np.inf
 
+    # Rows and columns of merged-away clusters are set to inf, so the
+    # minimum over dist is the minimum over active pairs.
     for _ in range(m - k):
-        masked = np.where(active[:, None] & active[None, :], dist, np.inf)
-        best = masked.min()
-        pairs = np.argwhere(masked == best)
+        best = dist.min()
+        pairs = np.argwhere(dist == best)
         pairs = pairs[pairs[:, 0] < pairs[:, 1]]
         key = sorted(
             (tuple(sorted((int(min_member[i]), int(min_member[j])))), (int(i), int(j)))
@@ -132,22 +116,19 @@ def hierarchical_cluster(rows, k: int) -> ClusterAssignment:
         members[i].extend(members[j])
         min_member[i] = min(min_member[i], min_member[j])
 
-    clusters = sorted((members[i] for i in range(m) if active[i]), key=min)
-    membership = {}
-    for label, group in enumerate(clusters):
-        for member in group:
-            membership[member] = label
-    return ClusterAssignment(k=k, membership=membership)
+    return sorted((sorted(members[i]) for i in range(m) if active[i]), key=min)
 
 
 def cluster_nodes(
     adjacency, embeddings, node_ids, *, use_structure: bool = True, use_similarity: bool = True
-) -> ClusterAssignment:
+) -> list:
     """Cluster roadmap nodes given their adjacency and embedding rows.
 
-    node_ids maps row position to node id; the returned membership is keyed
-    by node id. Either signal can be switched off for ablations, zeroing its
-    matrix before the Laplacian is formed.
+    node_ids maps row position to node id. Returns the clusters as lists of
+    node ids, each ascending; clusters are ordered by their first row
+    position, which for ascending node_ids is their smallest id. Either
+    signal can be switched off for ablations, zeroing its matrix before the
+    Laplacian is formed.
     """
     ids = list(node_ids)
     m = len(ids)
@@ -155,13 +136,10 @@ def cluster_nodes(
     if emb.shape[0] != m:
         raise ValueError("one embedding row per node is required")
     if m == 1:
-        return ClusterAssignment(k=1, membership={ids[0]: 0})
+        return [ids]
     k = cluster_count(m)
     a = np.asarray(adjacency, dtype=float) if use_structure else np.zeros((m, m))
     sim = cosine_similarity_matrix(emb) if use_similarity else np.zeros((m, m))
     lap = enhanced_laplacian(a, sim)
     rows = spectral_embed(lap, dims=k)
-    raw = hierarchical_cluster(rows, k)
-    return ClusterAssignment(
-        k=k, membership={ids[r]: c for r, c in raw.membership.items()}
-    )
+    return [sorted(ids[r] for r in group) for group in hierarchical_cluster(rows, k)]

@@ -1,5 +1,8 @@
 """Relational graph encoding of roadmap nodes.
 
+A GraphSnapshot is the one description of a step's alive subgraph: the
+clustering reads its adjacency and the encoder its message operator and
+relation rows, each derived from the snapshot's parents on first use.
 Two graph-convolution layers with one weight matrix per operation relation
 plus an explicit self-loop relation. Messages flow along incoming edges
 (alive parents), averaged per relation, ReLU between layers and a linear
@@ -10,6 +13,7 @@ encoder end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +27,13 @@ DEFAULT_DIMS = (STAT_DIM, 32, 64)
 @dataclass(frozen=True)
 class GraphSnapshot:
     """Alive subgraph in node-id order: stats rows, incoming relation ids
-    (-1 for roots), and alive-parent positions per node."""
+    (-1 for roots), and alive-parent positions per node.
+
+    The message operator and the rows of each relation are derived from
+    parents and relations once, on first use, and kept read-only, so every
+    encoder pass over one snapshot shares them; the clustering's adjacency
+    is read off the operator.
+    """
 
     stats: np.ndarray
     relations: np.ndarray
@@ -32,6 +42,36 @@ class GraphSnapshot:
     @property
     def n_nodes(self) -> int:
         return self.stats.shape[0]
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """Directed 0/1 matrix with a[p, i] = 1 for each alive parent p of node i."""
+        return (self.message_operator.T > 0.0).astype(float)
+
+    @cached_property
+    def message_operator(self) -> np.ndarray:
+        """P with P[i, p] = 1/|parents(i)| for each alive parent p of node i."""
+        p = np.zeros((self.n_nodes, self.n_nodes))
+        for i, parents in enumerate(self.parents):
+            if parents:
+                p[i, list(parents)] = 1.0 / len(parents)
+        return _read_only(p)
+
+    @cached_property
+    def rows_by_relation(self) -> tuple:
+        """(relation, rows) pairs, relations ascending, for the nodes with
+        at least one alive parent."""
+        out = {}
+        for i, parents in enumerate(self.parents):
+            rel = int(self.relations[i])
+            if rel >= 0 and parents:
+                out.setdefault(rel, []).append(i)
+        return tuple((rel, _read_only(np.array(rows))) for rel, rows in sorted(out.items()))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def squash_stats(stats) -> np.ndarray:
@@ -57,9 +97,9 @@ def snapshot_from_roadmap(r) -> GraphSnapshot:
     parents = tuple(
         tuple(pos[p] for p in n.parents if p in pos) for n in alive
     )
-    stats.flags.writeable = False
-    relations.flags.writeable = False
-    return GraphSnapshot(stats=stats, relations=relations, parents=parents)
+    return GraphSnapshot(
+        stats=_read_only(stats), relations=_read_only(relations), parents=parents
+    )
 
 
 @dataclass
@@ -96,29 +136,10 @@ class RGCNParams:
         return [w for layer in self.layers for w in layer]
 
 
-def _message_operator(graph: GraphSnapshot) -> np.ndarray:
-    """P with P[i, p] = 1/|parents(i)| for each alive parent p of node i."""
-    m = graph.n_nodes
-    p = np.zeros((m, m))
-    for i, parents in enumerate(graph.parents):
-        if parents:
-            p[i, list(parents)] = 1.0 / len(parents)
-    return p
-
-
-def _rows_by_relation(graph: GraphSnapshot) -> list:
-    out = {}
-    for i, parents in enumerate(graph.parents):
-        rel = int(graph.relations[i])
-        if rel >= 0 and parents:
-            out.setdefault(rel, []).append(i)
-    return [(rel, np.array(rows)) for rel, rows in sorted(out.items())]
-
-
 def rgcn_forward(graph: GraphSnapshot, params: RGCNParams):
     """Returns (node embeddings, cache) for the alive subgraph."""
-    p = _message_operator(graph)
-    rows_by_rel = _rows_by_relation(graph)
+    p = graph.message_operator
+    rows_by_rel = graph.rows_by_relation
     self_idx = params.n_relations
     h = np.asarray(graph.stats, dtype=float)
     if h.shape[1] != params.dims[0]:
@@ -134,14 +155,15 @@ def rgcn_forward(graph: GraphSnapshot, params: RGCNParams):
         msgs_all.append(msgs)
         pre.append(z)
         h = z if l == last else np.maximum(z, 0.0)
-    cache = (graph, p, rows_by_rel, inputs, msgs_all, pre)
+    cache = (graph, inputs, msgs_all, pre)
     return h, cache
 
 
 def rgcn_backward(params: RGCNParams, cache, d_out: np.ndarray) -> list:
     """Gradients for a scalar loss, given d(loss)/d(embeddings); aligned
     with params.params."""
-    graph, p, rows_by_rel, inputs, msgs_all, pre = cache
+    graph, inputs, msgs_all, pre = cache
+    p, rows_by_rel = graph.message_operator, graph.rows_by_relation
     width = params.n_relations + 1
     self_idx = params.n_relations
     grads = [np.zeros_like(w) for w in params.params]

@@ -298,7 +298,10 @@ def one_minus_rae(y_true, y_pred) -> float:
 
 
 def evaluate(X, y, task: str, cfg: EvalConfig) -> float:
-    """Pooled out-of-fold score under seeded k-fold cross validation."""
+    """Pooled out-of-fold score under seeded k-fold cross validation.
+
+    Raises DataError when the score is not finite.
+    """
     X, y = _check_xy(X, y)
     if task not in TASKS:
         raise DataError(f"unknown task {task!r}")
@@ -316,9 +319,10 @@ def evaluate(X, y, task: str, cfg: EvalConfig) -> float:
         fold_seed = int(np.random.SeedSequence([cfg.seed, 101, f]).generate_state(1)[0])
         model = fit_model(X[tr], y[tr], task, replace(cfg, seed=fold_seed))
         preds[te] = predict(model, X[te])
-    if task == CLASSIFICATION:
-        return macro_f1(y, preds)
-    return one_minus_rae(y, preds)
+    score = macro_f1(y, preds) if task == CLASSIFICATION else one_minus_rae(y, preds)
+    if not math.isfinite(score):
+        raise DataError(f"the {task} score is not finite; the labels may overflow")
+    return score
 
 
 def mutual_information(v, y, task: str) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import agents as ag
 from . import encoder as enc
-from .clustering import ClusterAssignment, cluster_nodes
+from .clustering import cluster_nodes
 from .evaluator import EvalConfig, evaluate
 from .opset import (
     N_OPERATIONS,
@@ -208,12 +208,12 @@ class _Episode:
 class _Clusters:
     """The alive subgraph, its node embeddings h and their clustering.
 
-    group_pos holds each cluster as graph row positions, all_pos every row.
+    groups holds each cluster as ascending node ids, group_pos the same
+    clusters as graph row positions, all_pos every row.
     """
 
     graph: enc.GraphSnapshot
     h: np.ndarray
-    assignment: ClusterAssignment
     groups: list
     group_pos: list
     all_pos: tuple
@@ -485,7 +485,7 @@ class Pipeline:
             step=s,
             phase=phase,
             epsilon=epsilon,
-            clusters=cl.assignment.k,
+            clusters=len(cl.groups),
             head_cluster=dec.head_idx,
             operation=dec.op.name,
             operand_cluster=dec.operand_idx,
@@ -514,19 +514,17 @@ class Pipeline:
         h = graph.stats
         if self.cfg.use_rgcn:
             h, _ = enc.rgcn_forward(graph, self.encoder.rgcn)
-        assignment = cluster_nodes(
-            roadmap.adjacency_matrix(),
+        groups = cluster_nodes(
+            graph.adjacency,
             graph.stats if first_step else h,
             alive_ids,
             use_structure=self.cfg.use_structure,
             use_similarity=self.cfg.use_similarity,
         )
-        groups = assignment.groups()
         pos = {nid: k for k, nid in enumerate(alive_ids)}
         return _Clusters(
             graph=graph,
             h=h,
-            assignment=assignment,
             groups=groups,
             group_pos=[tuple(pos[i] for i in g) for g in groups],
             all_pos=tuple(range(len(alive_ids))),
@@ -543,11 +541,11 @@ class Pipeline:
         op = OPERATIONS[self._pick_operation(head_input, epsilon)]
         if op.arity == 1:
             return _Decision(head_idx, head_input, op)
-        if cl.assignment.k < 2:
+        if len(cl.groups) < 2:
             fallback = OPERATIONS[self._fallback_unary(head_input)]
             return _Decision(head_idx, head_input, fallback, fallback=True)
         o_rep = enc.op_rep(self.encoder, op.id)
-        tail_indices = [j for j in range(cl.assignment.k) if j != head_idx]
+        tail_indices = [j for j in range(len(cl.groups)) if j != head_idx]
         operand_inputs = [
             np.concatenate([reps[head_idx], g_rep, reps[j], o_rep]) for j in tail_indices
         ]
@@ -564,11 +562,11 @@ class Pipeline:
     def _grow(self, ep: _Episode, cl: _Clusters, dec: _Decision) -> _Growth:
         """Group-wise crossing of the chosen clusters, capped at candidate_cap."""
         op = dec.op
-        heads = sorted(cl.groups[dec.head_idx])
+        heads = cl.groups[dec.head_idx]
         if op.arity == 1:
             pairs = [(nid, None) for nid in heads]
         else:
-            tails = sorted(cl.groups[dec.operand_idx])
+            tails = cl.groups[dec.operand_idx]
             pairs = [(h_id, t_id) for h_id in heads for t_id in tails]
         out = _Growth(attempts=len(pairs))
         for h_id, t_id in pairs:

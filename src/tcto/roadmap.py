@@ -168,15 +168,6 @@ class Roadmap:
                     out.append((p, n.id, n.op))
         return out
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Directed parent-to-child 0/1 matrix over alive nodes in id order."""
-        ids = self.alive_ids()
-        pos = {i: k for k, i in enumerate(ids)}
-        a = np.zeros((len(ids), len(ids)))
-        for p, c, _ in self.alive_edges():
-            a[pos[p], pos[c]] = 1.0
-        return a
-
     # -- materialization --------------------------------------------------
 
     def materialize(self, d: Dataset) -> np.ndarray:

@@ -66,3 +66,12 @@ def grow_random_roadmap(roadmap, columns, rng, steps, distinct_values=False):
             columns[res.node_id] = vals
             added += 1
     return added
+
+
+def alive_edge_matrix(roadmap):
+    """0/1 parent-to-child matrix of roadmap.alive_edges() in alive-id order."""
+    pos = {nid: k for k, nid in enumerate(roadmap.alive_ids())}
+    a = np.zeros((len(pos), len(pos)))
+    for p, c, _ in roadmap.alive_edges():
+        a[pos[p], pos[c]] = 1.0
+    return a

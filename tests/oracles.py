@@ -103,12 +103,9 @@ def best_partition(points, k):
     return frozenset(frozenset(b) for b in best)
 
 
-def as_partition(membership):
-    """Normalize a member-to-label mapping into a set of frozensets."""
-    blocks = {}
-    for member, label in membership.items():
-        blocks.setdefault(label, set()).add(member)
-    return frozenset(frozenset(b) for b in blocks.values())
+def as_partition(groups):
+    """Normalize a list of member groups into a set of frozensets."""
+    return frozenset(frozenset(g) for g in groups)
 
 
 def plug_in_mi(values, labels, task):

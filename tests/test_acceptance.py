@@ -12,6 +12,7 @@ import statistics
 import time
 
 import numpy as np
+import pytest
 
 from tcto.agents import (
     HEAD,
@@ -129,7 +130,7 @@ def test_a2_laplacian_spectral_and_exhaustive_clustering():
                 points, _ = blob_points(rng, m, k)
                 got = hierarchical_cluster(points, k)
                 cases += 1
-                if as_partition(got.membership) != best_partition(points, k):
+                if as_partition(got) != best_partition(points, k):
                     mismatches += 1
     elapsed = time.perf_counter() - started
     ok = (
@@ -352,6 +353,7 @@ def test_a6_bandit_learning_sanity():
 # -- A7: directional improvement over baseline and a random policy ---------
 
 
+@pytest.mark.slow
 def test_a7_directional_improvement_over_baseline_and_random_policy():
     started = time.perf_counter()
     data = synthetic_regression(n=500, noise=0.05, seed=0)

@@ -365,6 +365,69 @@ def test_train_on_a_column_at_the_float_limit_exits_zero(tmp_path, fast_config_p
     capsys.readouterr()
 
 
+def _overflowing_label_dataset(names, n=60, seed=4):
+    """Regression labels spread over the float range, so the score is NaN."""
+    rng = np.random.default_rng(seed)
+    return Dataset(
+        column_names=names,
+        columns=tuple(rng.normal(size=n) for _ in names),
+        labels=np.linspace(-1.0, 1.0, n) * 1e308,
+        task="regression",
+    )
+
+
+def _assert_no_nan_written(out):
+    for path in out.rglob("*"):
+        if path.is_file():
+            assert "NaN" not in path.read_text(), path
+
+
+def test_train_with_a_non_finite_score_exits_two(tmp_path, fast_config_path, capsys):
+    csv_path = tmp_path / "overflow.csv"
+    write_csv(_overflowing_label_dataset(("x", "z")), csv_path)
+    out = tmp_path / "run"
+    code = main(
+        [
+            "train",
+            "--data",
+            str(csv_path),
+            "--task",
+            "reg",
+            "--label",
+            "label",
+            "--out",
+            str(out),
+            "--config",
+            fast_config_path,
+        ]
+    )
+    assert code == 2
+    assert "tcto: " in capsys.readouterr().err
+    _assert_no_nan_written(out)
+
+
+def test_apply_with_a_non_finite_score_exits_two(run_dir, capsys):
+    tmp_path, _, out = run_dir
+    csv_path = tmp_path / "overflow.csv"
+    write_csv(_overflowing_label_dataset(("a", "b", "c")), csv_path)
+    capsys.readouterr()
+    apply_out = tmp_path / "rescore"
+    code = main(
+        [
+            "apply",
+            "--data",
+            str(csv_path),
+            "--roadmap",
+            str(out / "best_roadmap.json"),
+            "--out",
+            str(apply_out),
+        ]
+    )
+    assert code == 2
+    assert "tcto: " in capsys.readouterr().err
+    _assert_no_nan_written(apply_out)
+
+
 # -- apply ------------------------------------------------------------------------------
 
 

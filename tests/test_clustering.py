@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from oracles import as_partition, best_partition, blob_points
 from tcto.clustering import (
-    ClusterAssignment,
     cluster_count,
     cluster_nodes,
     cosine_similarity_matrix,
@@ -142,20 +141,18 @@ def test_spectral_dims_bounds():
 
 def test_two_separated_pairs_split_apart():
     pts = np.array([[0.0], [0.1], [10.0], [10.1]])
-    got = hierarchical_cluster(pts, 2)
-    assert got.groups() == [[0, 1], [2, 3]]
+    assert hierarchical_cluster(pts, 2) == [[0, 1], [2, 3]]
 
 
 def test_identical_points_merge_by_lowest_member_ids():
     pts = np.zeros((4, 2))
-    got = hierarchical_cluster(pts, 2)
-    assert got.groups() == [[0, 1, 2], [3]]
+    assert hierarchical_cluster(pts, 2) == [[0, 1, 2], [3]]
 
 
 def test_trivial_cluster_counts():
     pts = np.arange(6.0).reshape(3, 2)
-    assert hierarchical_cluster(pts, 1).groups() == [[0, 1, 2]]
-    assert hierarchical_cluster(pts, 3).groups() == [[0], [1], [2]]
+    assert hierarchical_cluster(pts, 1) == [[0, 1, 2]]
+    assert hierarchical_cluster(pts, 3) == [[0], [1], [2]]
 
 
 def test_hierarchical_input_validation():
@@ -178,28 +175,33 @@ def test_hierarchical_recovers_the_exhaustive_optimum_on_blobs(seed, k):
     pts, _ = blob_points(rng, m, k)
     got = hierarchical_cluster(pts, k)
     want = best_partition(pts, k)
-    assert as_partition(got.membership) == want
+    assert as_partition(got) == want
 
 
 # -- node-level wrapper -------------------------------------------------------------
 
 
-def test_cluster_nodes_keys_membership_by_node_id():
+def test_cluster_nodes_groups_hold_node_ids():
     rng = np.random.default_rng(3)
     ids = [5, 9, 12, 140]
     emb = rng.normal(size=(4, 6))
     adj = np.zeros((4, 4))
     adj[0, 1] = 1.0
     got = cluster_nodes(adj, emb, ids)
-    assert got.k == 2
-    assert sorted(got.membership) == ids
-    assert sorted(set(got.membership.values())) == [0, 1]
+    assert len(got) == 2
+    assert sorted(i for g in got for i in g) == ids
 
 
 def test_cluster_nodes_single_member_short_circuits():
-    got = cluster_nodes(np.zeros((1, 1)), np.ones((1, 7)), [42])
-    assert got.k == 1
-    assert got.membership == {42: 0}
+    assert cluster_nodes(np.zeros((1, 1)), np.ones((1, 7)), [42]) == [[42]]
+
+
+def test_cluster_nodes_orders_groups_by_first_row_for_unsorted_ids():
+    # Rows 0 and 3 cluster together, as do rows 1 and 2. Groups keep the
+    # order of their first row; members are ascending by node id.
+    emb = np.array([[1.0, 0.0], [0.0, 1.0], [0.01, 1.0], [1.0, 0.01]])
+    got = cluster_nodes(np.zeros((4, 4)), emb, [30, 20, 10, 40], use_structure=False)
+    assert got == [[30, 40], [10, 20]]
 
 
 def test_cluster_nodes_requires_one_embedding_row_per_node():
@@ -210,7 +212,7 @@ def test_cluster_nodes_requires_one_embedding_row_per_node():
 def test_similarity_only_grouping_follows_the_embeddings():
     emb = np.array([[1.0, 0.0], [1.0, 0.01], [0.0, 1.0], [0.01, 1.0]])
     got = cluster_nodes(np.zeros((4, 4)), emb, [0, 1, 2, 3], use_structure=False)
-    assert got.groups() == [[0, 1], [2, 3]]
+    assert got == [[0, 1], [2, 3]]
 
 
 def test_structure_only_grouping_follows_the_components():
@@ -219,12 +221,14 @@ def test_structure_only_grouping_follows_the_components():
     adj[2, 3] = 1.0
     emb = np.ones((4, 3))
     got = cluster_nodes(adj, emb, [0, 1, 2, 3], use_similarity=False)
-    assert got.groups() == [[0, 1], [2, 3]]
+    assert got == [[0, 1], [2, 3]]
 
 
 def test_groups_orders_clusters_by_smallest_member():
-    a = ClusterAssignment(k=2, membership={3: 1, 1: 0, 7: 1, 2: 0})
-    assert a.groups() == [[1, 2], [3, 7]]
+    # Rows 0 and 5 merge first and row 1 joins them last, so the merge
+    # leaves that cluster's members as [0, 5, 1].
+    pts = np.array([[0.0], [0.5], [10.0], [10.2], [20.0], [0.0]])
+    assert hierarchical_cluster(pts, 3) == [[0, 1, 5], [2, 3], [4]]
 
 
 @given(st.integers(0, 10_000), st.integers(2, 12))
@@ -236,7 +240,7 @@ def test_cluster_nodes_always_yields_a_full_partition(seed, m):
     adj = (rng.random((m, m)) < 0.3).astype(float)
     np.fill_diagonal(adj, 0.0)
     got = cluster_nodes(adj, emb, ids)
-    assert got.k == cluster_count(m)
-    assert sorted(got.membership) == ids
-    labels = set(got.membership.values())
-    assert labels == set(range(got.k))
+    assert len(got) == cluster_count(m)
+    assert all(g and g == sorted(g) for g in got)
+    assert [g[0] for g in got] == sorted(g[0] for g in got)
+    assert sorted(i for g in got for i in g) == ids

@@ -149,6 +149,20 @@ def test_forward_is_equivariant_under_node_relabeling():
     assert np.abs(hs - h[perm]).max() <= 1e-9
 
 
+def test_forward_reuses_the_snapshots_read_only_structure():
+    params = RGCNParams.create(np.random.default_rng(8), dims=SMALL_DIMS, n_relations=N_REL)
+    graph = _snapshot(3, max_nodes=8)
+    h1, _ = rgcn_forward(graph, params)
+    operator, rows_by_relation = graph.message_operator, graph.rows_by_relation
+    h2, _ = rgcn_forward(graph, params)
+    assert h1.tobytes() == h2.tobytes()
+    assert graph.message_operator is operator
+    assert graph.rows_by_relation is rows_by_relation
+    assert rows_by_relation
+    assert not operator.flags.writeable
+    assert all(not rows.flags.writeable for _, rows in rows_by_relation)
+
+
 def test_forward_rejects_wrong_stat_width():
     params = RGCNParams.create(np.random.default_rng(6), dims=SMALL_DIMS, n_relations=N_REL)
     graph = GraphSnapshot(

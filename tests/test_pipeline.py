@@ -9,6 +9,7 @@ import pytest
 
 import tcto.encoder
 import tcto.pipeline
+from helpers import alive_edge_matrix
 from tcto.agents import HEAD, OPERAND, OPERATION
 from tcto.encoder import squash_stats
 from tcto.evaluator import EvalConfig, evaluate
@@ -313,9 +314,14 @@ def test_ablation_flags_reach_the_clustering(trained):
 
 
 def test_each_step_runs_one_encoder_pass_and_clusters_on_it(monkeypatch):
-    forwards, clustered = [], []
+    forwards, clustered, edges, adjacencies = [], [], [], []
+    real_snapshot = tcto.encoder.snapshot_from_roadmap
     real_forward = tcto.encoder.rgcn_forward
     real_cluster = tcto.pipeline.cluster_nodes
+
+    def capturing_snapshot(roadmap):
+        edges.append(alive_edge_matrix(roadmap))
+        return real_snapshot(roadmap)
 
     def counting_forward(graph, params):
         h, cache = real_forward(graph, params)
@@ -323,9 +329,11 @@ def test_each_step_runs_one_encoder_pass_and_clusters_on_it(monkeypatch):
         return h, cache
 
     def capturing_cluster(adjacency, embeddings, node_ids, **kw):
+        adjacencies.append(np.array(adjacency, dtype=float))
         clustered.append(np.array(embeddings, dtype=float))
         return real_cluster(adjacency, embeddings, node_ids, **kw)
 
+    monkeypatch.setattr(tcto.encoder, "snapshot_from_roadmap", capturing_snapshot)
     monkeypatch.setattr(tcto.encoder, "rgcn_forward", counting_forward)
     monkeypatch.setattr(tcto.pipeline, "cluster_nodes", capturing_cluster)
     data = _product_dataset(seed=14)
@@ -337,6 +345,10 @@ def test_each_step_runs_one_encoder_pass_and_clusters_on_it(monkeypatch):
     first = squash_stats(np.stack([n.stats.as_vector() for n in roots]))
     for rec, h, emb in zip(report.records, forwards, clustered):
         assert np.array_equal(emb, first if rec.step == 0 else h)
+    assert len(edges) == len(adjacencies) == 10
+    assert any(a.any() for a in adjacencies)
+    for want, got in zip(edges, adjacencies):
+        assert np.array_equal(got, want)
 
 
 # -- score memo ------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grow_random_roadmap, make_regression_dataset
+from helpers import alive_edge_matrix, grow_random_roadmap, make_regression_dataset
+from tcto.encoder import snapshot_from_roadmap
 from tcto.evaluator import mutual_information
 from tcto.opset import OP_BY_NAME, apply_binary, apply_unary
 from tcto.roadmap import (
@@ -121,7 +122,7 @@ def test_edges_and_adjacency_follow_alive_nodes():
     a = r.add_node(ADD, (0, 1), cols[0] + cols[1])
     edges = r.alive_edges()
     assert (0, a.node_id, ADD) in edges and (1, a.node_id, ADD) in edges
-    adj = r.adjacency_matrix()
+    adj = snapshot_from_roadmap(r).adjacency
     assert adj.shape == (4, 4)
     assert adj[0, 3] == 1.0 and adj[1, 3] == 1.0
     assert adj.sum() == 2.0
@@ -130,6 +131,52 @@ def test_edges_and_adjacency_follow_alive_nodes():
     assert (a.node_id, b.node_id, SQUARE) in r.alive_edges()
     r.restore(snap)
     assert all(c != b.node_id for _, c, _ in r.alive_edges())
+    assert np.array_equal(snapshot_from_roadmap(r).adjacency, alive_edge_matrix(r))
+
+
+def _assert_snapshot_follows_alive_edges(r):
+    graph = snapshot_from_roadmap(r)
+    assert np.array_equal(graph.adjacency, alive_edge_matrix(r))
+    pos = {nid: k for k, nid in enumerate(r.alive_ids())}
+    want_rows = {}
+    for i, n in enumerate(r.alive_nodes()):
+        alive_parents = {pos[p] for p in n.parents if p in pos}
+        row = graph.message_operator[i]
+        assert set(np.flatnonzero(row)) == alive_parents
+        assert all(row[p] == 1.0 / len(alive_parents) for p in alive_parents)
+        if alive_parents:
+            want_rows.setdefault(n.op.id, []).append(i)
+    got_rows = {rel: list(rows) for rel, rows in graph.rows_by_relation}
+    assert got_rows == want_rows
+    assert [rel for rel, _ in graph.rows_by_relation] == sorted(want_rows)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 10), st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_snapshot_structure_follows_alive_edges_through_prune_restore_revive(
+    seed, steps, slack
+):
+    d = make_regression_dataset(n=16, p=3, seed=seed)
+    r = Roadmap.from_dataset(d, lineage="t")
+    cols = {i: np.asarray(c) for i, c in enumerate(d.columns)}
+    rng = np.random.default_rng(seed)
+    grow_random_roadmap(r, cols, rng, steps)
+    _assert_snapshot_follows_alive_edges(r)
+    snap = r.take_snapshot(0.0)
+    grow_random_roadmap(r, cols, rng, steps)
+    alive = {i: cols[i] for i in r.alive_ids()}
+    r.prune_node_wise(alive, d.labels, d.task, budget=r.root_count + slack)
+    _assert_snapshot_follows_alive_edges(r)
+    r.restore(snap)
+    _assert_snapshot_follows_alive_edges(r)
+    revivable = [
+        n
+        for n in r.nodes
+        if not n.alive and all(r.nodes[p].alive for p in n.parents)
+    ]
+    for n in revivable:
+        assert r.add_node(n.op, n.parents, cols[n.id]).revived
+    _assert_snapshot_follows_alive_edges(r)
 
 
 def test_stats_matrix_rows_follow_alive_id_order():
