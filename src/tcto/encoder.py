@@ -90,7 +90,7 @@ def squash_stats(stats) -> np.ndarray:
 def snapshot_from_roadmap(r) -> GraphSnapshot:
     alive = r.alive_nodes()
     pos = {n.id: k for k, n in enumerate(alive)}
-    stats = squash_stats(np.stack([n.stats.as_vector() for n in alive]))
+    stats = squash_stats(np.stack([n.stats for n in alive]))
     relations = np.array(
         [-1 if n.is_root else n.op.id for n in alive], dtype=int
     )

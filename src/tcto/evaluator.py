@@ -169,12 +169,6 @@ def _predict_tree(root: _Node, X: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class TreeModel:
-    root: _Node
-    task: str
-
-
-@dataclass
 class ForestModel:
     roots: list
     task: str
@@ -222,12 +216,16 @@ def fit_forest(X, y, task: str, cfg: EvalConfig) -> ForestModel:
     return ForestModel(roots=roots, task=task, n_classes=n_classes)
 
 
-def fit_tree(X, y, task: str, cfg: EvalConfig) -> TreeModel:
-    """Single CART on the full sample, all features considered at each split."""
+def fit_tree(X, y, task: str, cfg: EvalConfig) -> ForestModel:
+    """Single CART on the full sample, all features considered at each split.
+
+    It is a forest of one root: no bootstrap, no feature subsampling, and
+    its vote or mean is the tree's own prediction.
+    """
     X, y = _check_xy(X, y)
     n_classes = _class_count(y) if task == CLASSIFICATION else 0
     root = _grow(X, y, np.arange(X.shape[0]), 0, cfg.max_depth, None, X.shape[1], task, n_classes)
-    return TreeModel(root=root, task=task)
+    return ForestModel(roots=[root], task=task, n_classes=n_classes)
 
 
 def fit_centroid(X, y, task: str, cfg: EvalConfig) -> CentroidModel:
@@ -255,8 +253,6 @@ def fit_model(X, y, task: str, cfg: EvalConfig):
 
 def predict(model, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    if isinstance(model, TreeModel):
-        return _predict_tree(model.root, X)
     if isinstance(model, ForestModel):
         per_tree = np.stack([_predict_tree(r, X) for r in model.roots])
         if model.task == REGRESSION:

@@ -194,11 +194,10 @@ APPLY = "apply"
 
 @dataclass
 class _Episode:
-    """One episode's roadmap and columns. pending holds each agent's last
-    transition as terminal until the next decision gives its candidates."""
+    """One episode's roadmap. pending holds each agent's last transition as
+    terminal until the next decision gives its candidates."""
 
     roadmap: Roadmap
-    columns: dict
     prev_score: float
     episode_best: object
     pending: dict
@@ -398,10 +397,6 @@ class Pipeline:
             roadmap = Roadmap.from_dataset(self.train_data, lineage=f"{phase}{e}")
             episode = _Episode(
                 roadmap=roadmap,
-                columns={
-                    n.id: np.asarray(col, dtype=float)
-                    for n, col in zip(roadmap.nodes, self.train_data.columns)
-                },
                 prev_score=baseline,
                 episode_best=roadmap.take_snapshot(baseline),
                 pending={},
@@ -568,15 +563,16 @@ class Pipeline:
         else:
             tails = cl.groups[dec.operand_idx]
             pairs = [(h_id, t_id) for h_id in heads for t_id in tails]
+        nodes = ep.roadmap.nodes
         out = _Growth(attempts=len(pairs))
         for h_id, t_id in pairs:
             if out.created + out.revived >= self.cfg.candidate_cap:
                 break
             if t_id is None:
-                vals = apply_unary(op, ep.columns[h_id])
+                vals = apply_unary(op, nodes[h_id].values)
                 parents = (h_id,)
             else:
-                vals = apply_binary(op, ep.columns[h_id], ep.columns[t_id])
+                vals = apply_binary(op, nodes[h_id].values, nodes[t_id].values)
                 parents = (h_id, t_id)
             if vals is None:
                 out.rejected += 1
@@ -584,10 +580,8 @@ class Pipeline:
             res = ep.roadmap.add_node(op, parents, vals)
             if res.created:
                 out.created += 1
-                ep.columns[res.node_id] = vals
             elif res.revived:
                 out.revived += 1
-                ep.columns[res.node_id] = vals
             else:
                 out.duplicates += 1
         out.alive = ep.roadmap.alive_count
@@ -597,7 +591,7 @@ class Pipeline:
         cfg = self.cfg
         roadmap = ep.roadmap
         if grown.created + grown.revived > 0:
-            matrix = np.column_stack([ep.columns[i] for i in roadmap.alive_ids()])
+            matrix = np.column_stack([n.values for n in roadmap.alive_nodes()])
             score = self._evaluate(matrix, self.train_data)
         else:
             score = ep.prev_score
@@ -658,7 +652,7 @@ class Pipeline:
             return "none"
         if phase == EXPLORE and e < self._node_wise_episodes():
             data = self.train_data
-            roadmap.prune_node_wise(ep.columns, data.labels, data.task, budget)
+            roadmap.prune_node_wise(data.labels, data.task, budget)
             return "node_wise"
         roadmap.restore(ep.episode_best)
         return "backtrack"

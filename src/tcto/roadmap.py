@@ -1,8 +1,10 @@
 """The transformation roadmap: a growing DAG of derived feature columns.
 
 Nodes are feature states (roots = original columns), edges carry the
-operation that produced the child. Deletion is a dead flag, never removal,
-so node ids and signatures stay stable across pruning and backtracking.
+operation that produced the child. Each node keeps its column and that
+column's statistics, so the roadmap is the one store of the features a
+search has built. Deletion is a dead flag, never removal, so node ids and
+signatures stay stable across pruning and backtracking.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .evaluator import mutual_information
 from .opset import OP_BY_NAME, Operation, binary_values, unary_values
-from .tabular import Dataset, StatEmbedding, column_stats
+from .tabular import STAT_DIM, Dataset, column_stats
 
 SCHEMA_VERSION = 1
 
@@ -28,15 +30,20 @@ class SchemaError(ValueError):
     """A serialized roadmap does not conform to the JSON schema."""
 
 
-@dataclass
+@dataclass(eq=False)
 class RoadmapNode:
+    """One feature state: values is its column on the roadmap's dataset
+    (None in a roadmap read by import_json), stats that column's
+    column_stats vector."""
+
     id: int
     op: Operation | None
     parents: tuple[int, ...]
     depth: int
-    stats: StatEmbedding
+    stats: np.ndarray
     alive: bool = True
     origin_name: str | None = None
+    values: np.ndarray | None = None
 
     @property
     def is_root(self) -> bool:
@@ -102,6 +109,7 @@ class Roadmap:
                 depth=0,
                 stats=column_stats(col),
                 origin_name=name,
+                values=col,
             )
             r.nodes.append(node)
             r._index[node_signature(None, (), name)] = node.id
@@ -136,6 +144,7 @@ class Roadmap:
             parents=parents,
             depth=max(self.nodes[p].depth for p in parents) + 1,
             stats=column_stats(values),
+            values=values,
         )
         self.nodes.append(node)
         self._index[sig] = node.id
@@ -216,20 +225,22 @@ class Roadmap:
         for node in self.nodes:
             node.alive = node.id in snap.alive_ids
 
-    def prune_node_wise(self, columns, labels, task: str, budget: int) -> list[int]:
+    def prune_node_wise(self, labels, task: str, budget: int) -> list[int]:
         """Keep the budget-many highest-MI alive nodes plus every original.
 
-        columns maps alive node id to its materialized values. MI ties break
-        toward the lower node id. Returns the ids switched off, ascending.
+        MI is taken between each alive node's column and labels, so the
+        nodes must hold their columns: an imported roadmap does not. MI ties
+        break toward the lower node id. Returns the ids switched off,
+        ascending.
         """
         alive = self.alive_nodes()
         if len(alive) <= budget:
             return []
         scored = []
         for n in alive:
-            if n.id not in columns:
-                raise RoadmapError(f"no column provided for alive node {n.id}")
-            scored.append((-mutual_information(columns[n.id], labels, task), n.id))
+            if n.values is None:
+                raise RoadmapError(f"alive node {n.id} holds no column")
+            scored.append((-mutual_information(n.values, labels, task), n.id))
         scored.sort()
         keep = {nid for _, nid in scored[:budget]}
         killed = []
@@ -251,7 +262,7 @@ class Roadmap:
                 "parents": list(n.parents),
                 "depth": n.depth,
                 "alive": n.alive,
-                "stats": [float(x) for x in n.stats.as_vector()],
+                "stats": [float(x) for x in n.stats],
             }
             if n.is_root:
                 obj["origin_name"] = n.origin_name
@@ -293,7 +304,11 @@ class Roadmap:
                 parents = tuple(int(p) for p in obj["parents"])
                 depth = int(obj["depth"])
                 alive = bool(obj["alive"])
-                stats = StatEmbedding.from_vector(obj["stats"])
+                stats = np.array([float(x) for x in obj["stats"]])
+                if stats.shape != (STAT_DIM,):
+                    raise SchemaError(
+                        f"stat vector must have {STAT_DIM} entries, got {stats.size}"
+                    )
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"bad node record at position {k}: {exc}") from exc
             if nid != k:

@@ -20,33 +20,10 @@ class DataError(ValueError):
     """Input data violates the ingestion or splitting contract."""
 
 
-@dataclass(frozen=True)
-class StatEmbedding:
-    """Seven descriptive statistics of one column, in source units."""
-
-    mean: float
-    std: float
-    vmin: float
-    vmax: float
-    q1: float
-    median: float
-    q3: float
-
-    def as_vector(self) -> np.ndarray:
-        return np.array(
-            [self.mean, self.std, self.vmin, self.vmax, self.q1, self.median, self.q3]
-        )
-
-    @classmethod
-    def from_vector(cls, v) -> "StatEmbedding":
-        v = [float(x) for x in v]
-        if len(v) != STAT_DIM:
-            raise DataError(f"stat vector must have {STAT_DIM} entries, got {len(v)}")
-        return cls(*v)
-
-
-def column_stats(v) -> StatEmbedding:
-    """Mean, population std, min, max and linearly interpolated quartiles.
+def column_stats(v) -> np.ndarray:
+    """Mean, population std, min, max and the linearly interpolated
+    quartiles q1, median and q3, in that order, as one read-only float64
+    vector of STAT_DIM entries.
 
     Near the float limit the sums and the quantile interpolation overflow;
     see scaled_stat.
@@ -57,7 +34,7 @@ def column_stats(v) -> StatEmbedding:
     if not np.all(np.isfinite(v)):
         raise DataError("column contains non-finite values")
     stats, s = scaled_stat(_plain_stats, v)
-    return StatEmbedding(*(float(x) for x in stats * s))
+    return _readonly(stats * s)
 
 
 def scaled_stat(stat, v: np.ndarray):
@@ -67,7 +44,8 @@ def scaled_stat(stat, v: np.ndarray):
     which happens when sums or squares overflow near the float limit. Then
     r is stat(v / s), with s the power of two that brings max|v| into
     [1, 2), so the scaling itself is exact. stat must commute with scaling,
-    as a mean, std, min, max or quantile does; v must be finite and
+    as a mean, std, min, max or quantile does, or not depend on it, as
+    equal-width bins do (then r alone is stat(v)); v must be finite and
     non-empty.
     """
     with np.errstate(over="ignore", invalid="ignore"):
@@ -79,7 +57,7 @@ def scaled_stat(stat, v: np.ndarray):
 
 
 def _plain_stats(v: np.ndarray) -> np.ndarray:
-    """The seven statistics in StatEmbedding field order."""
+    """The seven statistics in column_stats order."""
     q1, med, q3 = np.quantile(v, [0.25, 0.5, 0.75])
     return np.array([v.mean(), v.std(), v.min(), v.max(), q1, med, q3])
 
@@ -253,13 +231,16 @@ def _parse_float(cell: str) -> float | None:
 
 
 def equal_width_bins(values, k: int = 5) -> np.ndarray:
-    """Assign each value to one of k equal-width ranges over [min, max]."""
+    """Assign each value to one of k equal-width ranges over [min, max].
+
+    A range wider than the float maximum is binned in the power-of-two
+    units of scaled_stat; the bins do not depend on the unit.
+    """
     v = np.asarray(values, dtype=float)
-    lo, hi = v.min(), v.max()
-    if hi <= lo:
+    if v.max() <= v.min():
         return np.zeros(v.shape, dtype=int)
-    bins = np.floor((v - lo) / (hi - lo) * k).astype(int)
-    return np.clip(bins, 0, k - 1)
+    bins, _ = scaled_stat(lambda u: np.floor((u - u.min()) / (u.max() - u.min()) * k), v)
+    return np.clip(bins.astype(int), 0, k - 1)
 
 
 def stratified_split_indices(d: Dataset, test_fraction: float, seed: int):

@@ -239,7 +239,7 @@ def test_a4_pruning_keeps_the_exhaustive_top_mi_set():
             worst_mi_gap = max(worst_mi_gap, gap)
         ranked = sorted(mi, key=lambda i: (-mi[i], i))
         expected = set(range(4)) | set(ranked[:budget])
-        roadmap.prune_node_wise(columns, labels, task, budget)
+        roadmap.prune_node_wise(labels, task, budget)
         if set(roadmap.alive_ids()) != expected:
             mismatches.append(seed)
 

@@ -66,7 +66,7 @@ def test_snapshot_reflects_alive_nodes_in_id_order():
     b = r.add_node(square, (0,), apply_unary(square, cols[0]))
     snap = snapshot_from_roadmap(r)
     assert snap.n_nodes == 4
-    raw = np.stack([n.stats.as_vector() for n in r.alive_nodes()])
+    raw = np.stack([n.stats for n in r.alive_nodes()])
     assert np.array_equal(snap.stats, squash_stats(raw))
     assert list(snap.relations) == [-1, -1, add.id, square.id]
     assert snap.parents == ((), (), (0, 1), (0,))

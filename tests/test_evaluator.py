@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import best_split_reference, plug_in_mi
 from tcto.evaluator import (
     EvalConfig,
-    TreeModel,
+    ForestModel,
     _best_split,
     evaluate,
     fit_forest,
@@ -167,7 +167,7 @@ def test_forest_regression_averages_its_trees():
     y = X[:, 0] * 2.0
     forest = fit_forest(X, y, "regression", EvalConfig(trees=3, max_depth=4))
     per_tree = np.stack(
-        [predict(TreeModel(r, "regression"), X) for r in forest.roots]
+        [predict(ForestModel([r], "regression", 0), X) for r in forest.roots]
     )
     assert np.allclose(predict(forest, X), per_tree.mean(axis=0))
 

@@ -342,13 +342,36 @@ def test_each_step_runs_one_encoder_pass_and_clusters_on_it(monkeypatch):
     report = pipe.train()
     assert len(forwards) == len(clustered) == len(report.records) == 10
     roots = Roadmap.from_dataset(pipe.train_data).alive_nodes()
-    first = squash_stats(np.stack([n.stats.as_vector() for n in roots]))
+    first = squash_stats(np.stack([n.stats for n in roots]))
     for rec, h, emb in zip(report.records, forwards, clustered):
         assert np.array_equal(emb, first if rec.step == 0 else h)
     assert len(edges) == len(adjacencies) == 10
     assert any(a.any() for a in adjacencies)
     for want, got in zip(edges, adjacencies):
         assert np.array_equal(got, want)
+
+
+def test_roadmap_columns_replay_bit_for_bit_after_every_step(monkeypatch):
+    checked = []
+    real_prune = Pipeline._prune
+
+    def checking_prune(self, ep, e, phase):
+        kind = real_prune(self, ep, e, phase)
+        stored = np.column_stack([n.values for n in ep.roadmap.alive_nodes()])
+        replayed = ep.roadmap.materialize(self.train_data)
+        assert stored.tobytes() == replayed.tobytes()
+        checked.append(kind)
+        return kind
+
+    monkeypatch.setattr(Pipeline, "_prune", checking_prune)
+    cfg = _tiny_cfg(
+        episodes=4, steps_per_episode=8, node_budget_factor=2, node_wise_fraction=0.5
+    )
+    pipe = Pipeline(_product_dataset(seed=0), cfg)
+    records = pipe.train().records + pipe.apply_policy().records
+    assert len(checked) == len(records)
+    assert {"none", "node_wise", "backtrack"} <= set(checked)
+    assert sum(r.revived for r in records) > 0
 
 
 # -- score memo ------------------------------------------------------------------------

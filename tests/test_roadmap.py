@@ -59,13 +59,16 @@ def test_roots_mirror_the_dataset_columns():
         assert node.is_root
         assert node.depth == 0
         assert node.origin_name == name
-        assert node.stats.mean == pytest.approx(float(np.mean(col)))
+        assert node.values is col
+        mean, *_ = node.stats
+        assert mean == pytest.approx(float(np.mean(col)))
 
 
 def test_add_node_assigns_sequential_ids_and_depths():
     _, r, cols = _fresh()
     res = r.add_node(SQUARE, (0,), apply_unary(SQUARE, cols[0]))
     assert res.node_id == 3 and res.created and not res.revived
+    assert np.array_equal(r.nodes[3].values, apply_unary(SQUARE, cols[0]))
     deep = r.add_node(ADD, (3, 1), cols[0] ** 2 + cols[1])
     assert deep.node_id == 4
     assert r.nodes[4].depth == 2
@@ -164,8 +167,7 @@ def test_snapshot_structure_follows_alive_edges_through_prune_restore_revive(
     _assert_snapshot_follows_alive_edges(r)
     snap = r.take_snapshot(0.0)
     grow_random_roadmap(r, cols, rng, steps)
-    alive = {i: cols[i] for i in r.alive_ids()}
-    r.prune_node_wise(alive, d.labels, d.task, budget=r.root_count + slack)
+    r.prune_node_wise(d.labels, d.task, budget=r.root_count + slack)
     _assert_snapshot_follows_alive_edges(r)
     r.restore(snap)
     _assert_snapshot_follows_alive_edges(r)
@@ -182,7 +184,7 @@ def test_snapshot_structure_follows_alive_edges_through_prune_restore_revive(
 def test_stats_matrix_rows_follow_alive_id_order():
     _, r, cols = _fresh()
     r.add_node(ADD, (0, 1), cols[0] + cols[1])
-    m = np.stack([n.stats.as_vector() for n in r.alive_nodes()])
+    m = np.stack([n.stats for n in r.alive_nodes()])
     assert m.shape == (4, 7)
     assert m[3, 0] == pytest.approx(float(np.mean(cols[0] + cols[1])))
 
@@ -267,7 +269,7 @@ def test_prune_keeps_top_mi_nodes_plus_roots():
         key=lambda i: (-mutual_information(cols[i], y, "classification"), i),
     )
     expected = set(ranked[:budget]) | {0, 1, 2}
-    killed = r.prune_node_wise(cols, y, "classification", budget)
+    killed = r.prune_node_wise(y, "classification", budget)
     assert set(r.alive_ids()) == expected
     assert killed == sorted(set(alive_before) - expected)
 
@@ -275,7 +277,7 @@ def test_prune_keeps_top_mi_nodes_plus_roots():
 def test_prune_is_a_no_op_within_budget():
     _, r, cols = _fresh()
     y = np.arange(12, dtype=float)
-    assert r.prune_node_wise(cols, y, "regression", 10) == []
+    assert r.prune_node_wise(y, "regression", 10) == []
     assert r.alive_count == 3
 
 
@@ -283,10 +285,9 @@ def test_prune_requires_columns_for_alive_nodes():
     _, r, cols = _fresh()
     for _ in range(6):
         grow_random_roadmap(r, cols, np.random.default_rng(1), steps=3)
-    missing = dict(cols)
-    missing.pop(r.alive_ids()[-1])
+    imported = Roadmap.import_json(r.export_json())
     with pytest.raises(RoadmapError):
-        r.prune_node_wise(missing, np.arange(12, dtype=float), "regression", 2)
+        imported.prune_node_wise(np.arange(12, dtype=float), "regression", 2)
 
 
 # -- serialization ------------------------------------------------------------------
@@ -352,6 +353,10 @@ def test_schema_violations_are_rejected():
     dup = dict(doc["nodes"][3])
     dup["id"] = 5
     doc["nodes"].append(dup)
+    _expect_schema_error(doc)
+
+    doc = _valid_doc()
+    doc["nodes"][3]["stats"] = [1.0, 2.0]
     _expect_schema_error(doc)
 
     doc = _valid_doc()

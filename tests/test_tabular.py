@@ -1,6 +1,7 @@
 """Column statistics, dataset validation, CSV ingestion and splitting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from oracles import stats7
 from tcto.tabular import (
     CLASSIFICATION,
     REGRESSION,
+    STAT_DIM,
     DataError,
     Dataset,
-    StatEmbedding,
     column_stats,
     equal_width_bins,
     load_csv,
@@ -34,26 +35,27 @@ finite_columns = st.lists(
 
 def test_constant_column_stats():
     s = column_stats([2.0, 2.0, 2.0])
-    assert s.as_vector().tolist() == [2.0, 0.0, 2.0, 2.0, 2.0, 2.0, 2.0]
+    assert s.tolist() == [2.0, 0.0, 2.0, 2.0, 2.0, 2.0, 2.0]
 
 
 def test_mean_and_median_of_one_to_four():
-    s = column_stats([1.0, 2.0, 3.0, 4.0])
-    assert s.mean == 2.5
-    assert s.median == 2.5
-    assert s.q1 == 1.75
-    assert s.q3 == 3.25
-    assert (s.vmin, s.vmax) == (1.0, 4.0)
+    mean, _, vmin, vmax, q1, median, q3 = column_stats([1.0, 2.0, 3.0, 4.0])
+    assert mean == 2.5
+    assert median == 2.5
+    assert q1 == 1.75
+    assert q3 == 3.25
+    assert (vmin, vmax) == (1.0, 4.0)
 
 
 def test_std_is_population_std():
-    assert column_stats([0.0, 10.0]).std == 5.0
+    _, std, *_ = column_stats([0.0, 10.0])
+    assert std == 5.0
 
 
 @given(finite_columns)
 @settings(max_examples=100)
 def test_column_stats_match_reference(values):
-    got = column_stats(values).as_vector()
+    got = column_stats(values)
     want = np.array(stats7(values))
     assert np.allclose(got, want, rtol=1e-10, atol=1e-9)
 
@@ -62,27 +64,21 @@ def test_column_stats_match_reference(values):
 def test_column_stats_ignore_order(values, rnd):
     shuffled = list(values)
     rnd.shuffle(shuffled)
-    a = column_stats(shuffled)
-    b = column_stats(values)
+    a_mean, a_std, *a_sorted = column_stats(shuffled)
+    b_mean, b_std, *b_sorted = column_stats(values)
     # Sorting-based fields see the same multiset, so they are bit-exact.
-    assert (a.vmin, a.vmax, a.q1, a.median, a.q3) == (
-        b.vmin,
-        b.vmax,
-        b.q1,
-        b.median,
-        b.q3,
-    )
+    assert a_sorted == b_sorted
     # Summation order moves mean and std by at most a few ulps of the scale.
     scale = 1.0 + max(abs(v) for v in values)
-    assert math.isclose(a.mean, b.mean, rel_tol=1e-9, abs_tol=1e-9 * scale)
-    assert math.isclose(a.std, b.std, rel_tol=1e-9, abs_tol=1e-9 * scale)
+    assert math.isclose(a_mean, b_mean, rel_tol=1e-9, abs_tol=1e-9 * scale)
+    assert math.isclose(a_std, b_std, rel_tol=1e-9, abs_tol=1e-9 * scale)
 
 
 @given(finite_columns)
 def test_quartiles_are_sorted(values):
-    s = column_stats(values)
-    assert s.vmin <= s.q1 <= s.median <= s.q3 <= s.vmax
-    assert s.std >= 0.0
+    _, std, vmin, vmax, q1, median, q3 = column_stats(values)
+    assert vmin <= q1 <= median <= q3 <= vmax
+    assert std >= 0.0
 
 
 @pytest.mark.parametrize(
@@ -90,18 +86,19 @@ def test_quartiles_are_sorted(values):
 )
 def test_stats_near_the_float_limit_are_finite_and_ordered(values):
     s = column_stats(values)
-    assert np.all(np.isfinite(s.as_vector()))
-    assert (s.vmin, s.vmax) == (min(values), max(values))
-    assert s.vmin <= s.q1 <= s.median <= s.q3 <= s.vmax
-    assert s.vmin <= s.mean <= s.vmax
-    assert s.std >= 0.0
+    assert np.all(np.isfinite(s))
+    mean, std, vmin, vmax, q1, median, q3 = s
+    assert (vmin, vmax) == (min(values), max(values))
+    assert vmin <= q1 <= median <= q3 <= vmax
+    assert vmin <= mean <= vmax
+    assert std >= 0.0
 
 
 def test_stats_that_do_not_overflow_keep_their_plain_values():
     v = np.array([1e150, -3e149, 7.0, 2.5e149])
-    s = column_stats(v)
-    q1, med, q3 = np.quantile(v, [0.25, 0.5, 0.75])
-    assert (s.mean, s.std, s.q1, s.median, s.q3) == (v.mean(), v.std(), q1, med, q3)
+    mean, std, _, _, q1, median, q3 = column_stats(v)
+    want = (v.mean(), v.std(), *np.quantile(v, [0.25, 0.5, 0.75]))
+    assert (mean, std, q1, median, q3) == want
 
 
 def test_stats_reject_empty_and_non_finite():
@@ -113,11 +110,11 @@ def test_stats_reject_empty_and_non_finite():
         column_stats([np.inf])
 
 
-def test_stat_embedding_vector_roundtrip():
+def test_column_stats_is_one_read_only_float64_vector():
     s = column_stats([1.0, 2.0, 9.0])
-    assert StatEmbedding.from_vector(s.as_vector()) == s
-    with pytest.raises(DataError):
-        StatEmbedding.from_vector([1.0, 2.0])
+    assert s.dtype == np.float64 and s.shape == (STAT_DIM,)
+    with pytest.raises(ValueError):
+        s[0] = 0.0
 
 
 # -- dataset invariants --------------------------------------------------------
@@ -243,6 +240,14 @@ def test_equal_width_bins_cover_the_range():
     assert equal_width_bins([3.0, 3.0, 3.0]).tolist() == [0, 0, 0]
     bins = equal_width_bins([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], 5)
     assert bins.tolist() == [0, 1, 2, 3, 4, 4]
+
+
+def test_equal_width_bins_past_the_float_limit():
+    v = np.linspace(-1.0, 1.0, 60) * 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bins = equal_width_bins(v)
+    assert np.bincount(bins).tolist() == [12] * 5
 
 
 def test_split_counts_per_class():
