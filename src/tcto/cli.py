@@ -148,7 +148,7 @@ def _cmd_train(args) -> int:
     with open(out / "best_roadmap.json", "wb") as fh:
         fh.write(best.best_roadmap_json)
     with open(out / "checkpoint.json", "w", encoding="utf-8") as fh:
-        write_json(pipe.checkpoint(), fh)
+        json.dump(pipe.checkpoint(), fh, sort_keys=True)
 
     summary = {
         "task": args.task,
@@ -183,32 +183,6 @@ def _cmd_train(args) -> int:
     print(f"test score          {best.test_score:.6f}")
     print(f"artifacts in        {out}")
     return 0
-
-
-def write_json(obj, fh) -> None:
-    """Write obj as json.dump(obj, fh, sort_keys=True) does, byte for byte.
-
-    json.dump encodes element by element in Python; here each list that
-    holds no list or dict goes through one json.dumps call, which uses the
-    C encoder, and only the nesting above those lists is walked in Python.
-    Nothing larger than one such list is held as a string. Dict keys must
-    be strings.
-    """
-    if isinstance(obj, dict):
-        fh.write("{")
-        for i, key in enumerate(sorted(obj)):
-            fh.write((", " if i else "") + json.dumps(key) + ": ")
-            write_json(obj[key], fh)
-        fh.write("}")
-    elif isinstance(obj, list) and any(isinstance(v, (list, dict)) for v in obj):
-        fh.write("[")
-        for i, v in enumerate(obj):
-            if i:
-                fh.write(", ")
-            write_json(v, fh)
-        fh.write("]")
-    else:
-        fh.write(json.dumps(obj))
 
 
 def _phase_summary(report) -> dict:

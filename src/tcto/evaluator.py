@@ -309,13 +309,15 @@ def evaluate(X, y, task: str, cfg: EvalConfig) -> float:
     fold_of[perm] = np.arange(n) % cfg.folds
 
     preds = np.empty(n)
-    for f in range(cfg.folds):
-        te = fold_of == f
-        tr = ~te
-        fold_seed = int(np.random.SeedSequence([cfg.seed, 101, f]).generate_state(1)[0])
-        model = fit_model(X[tr], y[tr], task, replace(cfg, seed=fold_seed))
-        preds[te] = predict(model, X[te])
-    score = macro_f1(y, preds) if task == CLASSIFICATION else one_minus_rae(y, preds)
+    # Labels near the float limit overflow into a non-finite score, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in range(cfg.folds):
+            te = fold_of == f
+            tr = ~te
+            fold_seed = np.random.SeedSequence([cfg.seed, 101, f]).generate_state(1)[0]
+            model = fit_model(X[tr], y[tr], task, replace(cfg, seed=int(fold_seed)))
+            preds[te] = predict(model, X[te])
+        score = macro_f1(y, preds) if task == CLASSIFICATION else one_minus_rae(y, preds)
     if not math.isfinite(score):
         raise DataError(f"the {task} score is not finite; the labels may overflow")
     return score

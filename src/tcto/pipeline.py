@@ -16,6 +16,7 @@ Pipeline._step runs the six stages of one step in order:
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -316,30 +317,34 @@ class Pipeline:
     # -- checkpointing ---------------------------------------------------------
 
     def checkpoint(self) -> dict:
-        obj = {
-            "version": 1,
+        """Every trained array, as a version 2 checkpoint object.
+
+        agents holds each agent's prediction and target nets and encoder
+        the encoder (None without the RGCN), each as a list in params order
+        of one string per array: the base64 text of its little-endian
+        float64 bytes, so loading restores every bit.
+        """
+        return {
+            "version": 2,
             "use_rgcn": self.cfg.use_rgcn,
             "agents": {
                 role: {
-                    "prediction": _net_to_obj(a.prediction),
-                    "target": _net_to_obj(a.target),
+                    "prediction": _encode(a.prediction.params),
+                    "target": _encode(a.target.params),
                 }
                 for role, a in self.agents.items()
             },
+            "encoder": None if self.encoder is None else _encode(self.encoder.params),
         }
-        if self.encoder is not None:
-            obj["encoder"] = {
-                "n_relations": self.encoder.rgcn.n_relations,
-                "layers": [
-                    [w.tolist() for w in layer] for layer in self.encoder.rgcn.layers
-                ],
-                "op_table": self.encoder.op_table.tolist(),
-            }
-        else:
-            obj["encoder"] = None
-        return obj
 
     def load_checkpoint(self, source) -> None:
+        """Overwrite every trained array from a version 2 checkpoint.
+
+        source is the object checkpoint() returns or the path of its JSON
+        file. Any other version, a use_rgcn mismatch, a wrong number of
+        arrays, text that is not base64, a wrong byte length or a value
+        that is not finite raises PipelineError and changes no array.
+        """
         if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
             try:
                 with open(source, "r", encoding="utf-8") as fh:
@@ -348,22 +353,21 @@ class Pipeline:
                 raise PipelineError(f"cannot read checkpoint: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise PipelineError(f"malformed checkpoint JSON: {exc}") from exc
-        if not isinstance(source, dict) or source.get("version") != 1:
+        if not isinstance(source, dict) or source.get("version") != 2:
             raise PipelineError("unsupported checkpoint format")
         if bool(source.get("use_rgcn")) != self.cfg.use_rgcn:
             raise PipelineError("checkpoint encoder mode does not match use_rgcn")
         try:
+            pairs = []
             for role, a in self.agents.items():
                 for key in ("prediction", "target"):
-                    obj = source["agents"][role][key]
-                    pairs = zip(obj["weights"], obj["biases"], strict=True)
-                    _fill(getattr(a, key).params, [arr for wb in pairs for arr in wb])
-            if self.cfg.use_rgcn:
-                stored = source["encoder"]
-                flat = [arr for layer in stored["layers"] for arr in layer]
-                _fill(self.encoder.params, flat + [stored["op_table"]])
+                    pairs += _decode(getattr(a, key).params, source["agents"][role][key])
+            if self.encoder is not None:
+                pairs += _decode(self.encoder.params, source["encoder"])
         except (KeyError, TypeError, ValueError) as exc:
             raise PipelineError(f"checkpoint does not fit this pipeline: {exc}") from exc
+        for live, stored in pairs:
+            live[...] = stored
         self.trained = True
 
     # -- internals ---------------------------------------------------------
@@ -555,28 +559,27 @@ class Pipeline:
         )
 
     def _grow(self, ep: _Episode, cl: _Clusters, dec: _Decision) -> _Growth:
-        """Group-wise crossing of the chosen clusters, capped at candidate_cap."""
+        """Group-wise crossing of the chosen clusters, capped at candidate_cap.
+        A known signature keeps its column, so only new ones are computed."""
         op = dec.op
         heads = cl.groups[dec.head_idx]
         if op.arity == 1:
-            pairs = [(nid, None) for nid in heads]
+            pairs = [(nid,) for nid in heads]
         else:
             tails = cl.groups[dec.operand_idx]
             pairs = [(h_id, t_id) for h_id in heads for t_id in tails]
         nodes = ep.roadmap.nodes
         out = _Growth(attempts=len(pairs))
-        for h_id, t_id in pairs:
+        for parents in pairs:
             if out.created + out.revived >= self.cfg.candidate_cap:
                 break
-            if t_id is None:
-                vals = apply_unary(op, nodes[h_id].values)
-                parents = (h_id,)
-            else:
-                vals = apply_binary(op, nodes[h_id].values, nodes[t_id].values)
-                parents = (h_id, t_id)
-            if vals is None:
-                out.rejected += 1
-                continue
+            vals = None
+            if ep.roadmap.find(op, parents) is None:
+                cols = [nodes[p].values for p in parents]
+                vals = apply_unary(op, *cols) if op.arity == 1 else apply_binary(op, *cols)
+                if vals is None:
+                    out.rejected += 1
+                    continue
             res = ep.roadmap.add_node(op, parents, vals)
             if res.created:
                 out.created += 1
@@ -665,17 +668,25 @@ class Pipeline:
             ag.push_transition(self.agents[role], t)
 
 
-def _net_to_obj(net) -> dict:
-    return {
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-    }
+def _encode(params: list) -> list:
+    return [base64.b64encode(p.astype("<f8").tobytes()).decode("ascii") for p in params]
 
 
-def _fill(params: list, stored: list) -> None:
-    """Overwrite each live array in place with its stored counterpart."""
-    for p, arr in zip(params, stored, strict=True):
-        p[...] = np.asarray(arr, dtype=float).reshape(p.shape)
+def _decode(params: list, stored) -> list:
+    """(live, stored) array pairs; ValueError or TypeError when stored does
+    not hold one finite float64 array of the right size per live array."""
+    if not isinstance(stored, list):
+        raise TypeError("an array list is not a JSON list")
+    pairs = []
+    for live, text in zip(params, stored, strict=True):
+        raw = base64.b64decode(text, validate=True)
+        if len(raw) != 8 * live.size:
+            raise ValueError(f"an array of {live.size} floats has {len(raw)} bytes")
+        arr = np.frombuffer(raw, dtype="<f8").reshape(live.shape)
+        if not np.isfinite(arr).all():
+            raise ValueError("an array holds a non-finite value")
+        pairs.append((live, arr))
+    return pairs
 
 
 def record_to_json(rec: StepRecord) -> str:

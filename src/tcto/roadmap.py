@@ -116,7 +116,8 @@ class Roadmap:
         return r
 
     def add_node(self, op: Operation, parents, values) -> AddResult:
-        """Register a derived column; duplicates dedup, dead duplicates revive."""
+        """Register a derived column; duplicates dedup, dead duplicates revive.
+        values is read only when the signature is new."""
         parents = tuple(int(p) for p in parents)
         if len(parents) != op.arity:
             raise RoadmapError(f"{op.name} takes {op.arity} parent(s), got {len(parents)}")
@@ -125,9 +126,8 @@ class Roadmap:
                 raise RoadmapError(f"unknown parent id {p}")
             if not self.nodes[p].alive:
                 raise RoadmapError(f"parent {p} is dead")
-        sig = node_signature(op, parents)
-        if sig in self._index:
-            node = self.nodes[self._index[sig]]
+        node = self.find(op, parents)
+        if node is not None:
             if node.alive:
                 return AddResult(node.id, created=False, revived=False)
             node.alive = True
@@ -147,8 +147,13 @@ class Roadmap:
             values=values,
         )
         self.nodes.append(node)
-        self._index[sig] = node.id
+        self._index[node_signature(op, parents)] = node.id
         return AddResult(node.id, created=True, revived=False)
+
+    def find(self, op: Operation, parents) -> RoadmapNode | None:
+        """The node op derives from parents, alive or dead, if there is one."""
+        i = self._index.get(node_signature(op, parents))
+        return None if i is None else self.nodes[i]
 
     # -- views ------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """End-to-end search driver: configuration, determinism, budgets, replay."""
 
+import base64
 import copy
 import json
 import math
@@ -374,6 +375,26 @@ def test_roadmap_columns_replay_bit_for_bit_after_every_step(monkeypatch):
     assert sum(r.revived for r in records) > 0
 
 
+def test_only_new_signatures_compute_a_column(monkeypatch):
+    calls = []
+    for name in ("apply_unary", "apply_binary"):
+        real = getattr(tcto.pipeline, name)
+
+        def counting(*args, _real=real):
+            calls.append(args[0])
+            return _real(*args)
+
+        monkeypatch.setattr(tcto.pipeline, name, counting)
+    cfg = _tiny_cfg(
+        episodes=4, steps_per_episode=8, node_budget_factor=2, node_wise_fraction=0.5
+    )
+    pipe = Pipeline(_product_dataset(seed=0), cfg)
+    records = pipe.train().records + pipe.apply_policy().records
+    assert sum(r.revived for r in records) > 0
+    assert sum(r.duplicates for r in records) > 0
+    assert len(calls) == sum(r.created + r.rejected for r in records)
+
+
 # -- score memo ------------------------------------------------------------------------
 
 
@@ -467,6 +488,44 @@ def test_checkpoint_roundtrip_reproduces_the_application_run(tmp_path):
     assert got.best_roadmap_json == want.best_roadmap_json
 
 
+def _trained_pipe(use_rgcn=True):
+    pipe = Pipeline(_product_dataset(seed=12), _tiny_cfg(use_rgcn=use_rgcn, episodes=1))
+    pipe.train()
+    return pipe
+
+
+def _live_arrays(pipe):
+    nets = [net for a in pipe.agents.values() for net in (a.prediction, a.target)]
+    arrays = [p for net in nets for p in net.params]
+    return arrays + ([] if pipe.encoder is None else pipe.encoder.params)
+
+
+def _b64(arr):
+    return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _unb64(text):
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+
+
+@pytest.mark.parametrize("use_rgcn", [True, False])
+def test_checkpoint_restores_every_array_bit_for_bit(tmp_path, use_rgcn):
+    first = _trained_pipe(use_rgcn)
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(first.checkpoint()))
+    second = Pipeline(first.dataset, first.cfg)
+    fresh = [p.copy() for p in _live_arrays(second)]
+    want = _live_arrays(first)
+    assert any(not np.array_equal(f, w) for f, w in zip(fresh, want))
+
+    second.load_checkpoint(path)
+    got = _live_arrays(second)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
 def test_checkpoint_mode_mismatch_is_rejected():
     data = _product_dataset(seed=12)
     cfg = _tiny_cfg(episodes=1, steps_per_episode=2)
@@ -479,14 +538,98 @@ def test_checkpoint_mode_mismatch_is_rejected():
         other.load_checkpoint(cp)
 
     bad = dict(cp)
-    bad["version"] = 2
+    bad["version"] = 1
     with pytest.raises(PipelineError):
         Pipeline(data, cfg).load_checkpoint(bad)
 
+    per_layer = trained_pipe.encoder.rgcn.n_relations + 1
     one_layer = copy.deepcopy(cp)
-    del one_layer["encoder"]["layers"][1:]
+    del one_layer["encoder"][per_layer:]
     three_relations = copy.deepcopy(cp)
-    del three_relations["encoder"]["layers"][0][3:]
+    del three_relations["encoder"][3:]
     for truncated in (one_layer, three_relations):
         with pytest.raises(PipelineError):
             Pipeline(data, cfg).load_checkpoint(truncated)
+
+
+def _v1_layout(pipe):
+    def net(n):
+        return {
+            "weights": [w.tolist() for w in n.weights],
+            "biases": [b.tolist() for b in n.biases],
+        }
+
+    rgcn = pipe.encoder.rgcn
+    return {
+        "version": 1,
+        "use_rgcn": True,
+        "agents": {
+            role: {"prediction": net(a.prediction), "target": net(a.target)}
+            for role, a in pipe.agents.items()
+        },
+        "encoder": {
+            "n_relations": rgcn.n_relations,
+            "layers": [[w.tolist() for w in layer] for layer in rgcn.layers],
+            "op_table": pipe.encoder.op_table.tolist(),
+        },
+    }
+
+
+@pytest.fixture(scope="module")
+def checkpointed():
+    pipe = _trained_pipe()
+    return pipe, pipe.checkpoint()
+
+
+def test_checkpoints_of_other_versions_are_unsupported(checkpointed):
+    pipe, cp = checkpointed
+    target = Pipeline(pipe.dataset, pipe.cfg)
+    for other in (_v1_layout(pipe), dict(cp, version=3)):
+        with pytest.raises(PipelineError, match="unsupported checkpoint format"):
+            target.load_checkpoint(other)
+    with pytest.raises(PipelineError):
+        target.load_checkpoint(dict(_v1_layout(pipe), version=2))
+    assert not target.trained
+
+
+def _corrupt(arrays: list, kind: str) -> None:
+    if kind == "array_missing":
+        arrays.pop()
+    elif kind == "array_extra":
+        arrays.append(arrays[-1])
+    elif kind == "not_base64":
+        arrays[0] = "not base64!"
+    elif kind == "wrong_byte_length":
+        arrays[0] = _b64(_unb64(arrays[0])[:-1])
+    elif kind == "floats_not_text":
+        arrays[0] = _unb64(arrays[0]).tolist()
+    else:
+        values = _unb64(arrays[0])
+        values[len(values) // 2] = float(kind)
+        arrays[0] = _b64(values)
+
+
+@pytest.mark.parametrize("part", ["agent", "encoder"])
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "array_missing",
+        "array_extra",
+        "not_base64",
+        "wrong_byte_length",
+        "floats_not_text",
+        "nan",
+        "-inf",
+    ],
+)
+def test_a_corrupt_checkpoint_is_rejected_and_changes_no_array(checkpointed, part, kind):
+    pipe, cp = checkpointed
+    bad = copy.deepcopy(cp)
+    _corrupt(bad["encoder"] if part == "encoder" else bad["agents"][OPERAND]["target"], kind)
+    target = Pipeline(pipe.dataset, pipe.cfg)
+    before = [p.copy() for p in _live_arrays(target)]
+    with pytest.raises(PipelineError, match="does not fit"):
+        target.load_checkpoint(bad)
+    assert not target.trained
+    for was, now in zip(before, _live_arrays(target), strict=True):
+        assert was.tobytes() == now.tobytes()

@@ -76,8 +76,11 @@ def test_add_node_assigns_sequential_ids_and_depths():
 
 def test_live_duplicates_are_deduplicated():
     _, r, cols = _fresh()
+    assert r.find(ADD, (0, 1)) is None
     first = r.add_node(ADD, (0, 1), cols[0] + cols[1])
-    again = r.add_node(ADD, (1, 0), cols[1] + cols[0])
+    assert r.find(ADD, (1, 0)) is r.nodes[first.node_id]
+    assert r.find(SUB, (1, 0)) is None
+    again = r.add_node(ADD, (1, 0), None)
     assert again.node_id == first.node_id
     assert not again.created and not again.revived and not again.changed
     assert r.alive_count == 4
@@ -89,10 +92,12 @@ def test_dead_duplicates_are_revived_in_place():
     created = r.add_node(ADD, (0, 1), cols[0] + cols[1])
     r.restore(snap)
     assert not r.nodes[created.node_id].alive
-    revived = r.add_node(ADD, (0, 1), cols[0] + cols[1])
+    assert r.find(ADD, (0, 1)) is r.nodes[created.node_id]
+    revived = r.add_node(ADD, (0, 1), None)
     assert revived.node_id == created.node_id
     assert revived.revived and not revived.created and revived.changed
     assert r.nodes[created.node_id].alive
+    assert np.array_equal(r.nodes[created.node_id].values, cols[0] + cols[1])
 
 
 def test_growth_contract_violations():
