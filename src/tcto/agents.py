@@ -30,7 +30,7 @@ class Transition:
     """One replay entry.
 
     next_candidates holds the Q-network inputs available at the next
-    decision point; terminal transitions may leave it empty. state_ctx
+    decision point; a terminal transition leaves it empty. state_ctx
     optionally carries (GraphSnapshot, StateSpec) so training can recompute
     the state through the current encoder and push gradients into it.
     """
@@ -39,7 +39,6 @@ class Transition:
     action: int
     reward: float
     next_candidates: list
-    terminal: bool
     state_ctx: tuple | None = None
 
 
@@ -89,8 +88,6 @@ def operation_q_values(agent: Agent, state_input) -> np.ndarray:
 
 
 def push_transition(agent: Agent, t: Transition) -> None:
-    if not t.terminal and not t.next_candidates:
-        raise ValueError("non-terminal transition needs at least one next candidate")
     agent.buffer.append(t)
 
 
@@ -137,10 +134,9 @@ def train_step(
         out, cache = forward_cache(agent.prediction, x)
         a = int(t.action) if agent.output_dim > 1 else 0
         q = float(out[a])
-        if t.terminal or not t.next_candidates:
-            y = t.reward
-        else:
-            y = t.reward + gamma * _max_target_q(agent, t.next_candidates)
+        y = t.reward
+        if t.next_candidates:
+            y += gamma * _max_target_q(agent, t.next_candidates)
         diff = q - y
         total_loss += diff * diff
         dy = np.zeros_like(out)

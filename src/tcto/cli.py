@@ -7,9 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .evaluator import evaluate
@@ -87,35 +85,19 @@ def main(argv=None) -> int:
 
 
 def _resolve_config(args) -> RunConfig:
-    cfg = RunConfig()
+    """The --config file's values, each flag given replacing its key."""
+    doc = {}
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed config JSON: {exc}") from exc
-        cfg = config_from_dict(doc)
-    overrides = {}
-    if args.episodes is not None:
-        overrides["episodes"] = args.episodes
-    if args.steps is not None:
-        overrides["steps_per_episode"] = args.steps
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    env_seed = os.environ.get("TCTO_SEED")
-    if env_seed is not None:
-        try:
-            overrides["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"TCTO_SEED must be an integer, got {env_seed!r}") from None
-    if overrides:
-        try:
-            cfg = replace(cfg, **overrides)
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(str(exc)) from exc
-    return cfg
+        if not isinstance(doc, dict):
+            raise ConfigError("configuration must be a JSON object")
+    flags = {"episodes": args.episodes, "steps_per_episode": args.steps, "seed": args.seed}
+    doc.update((key, value) for key, value in flags.items() if value is not None)
+    return config_from_dict(doc)
 
 
 def _cmd_train(args) -> int:

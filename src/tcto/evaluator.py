@@ -1,8 +1,9 @@
 """Downstream scoring of feature matrices.
 
-A small CART random forest written directly on numpy, scored with seeded
-k-fold cross validation: macro-F1 for classification, 1-RAE for regression.
-Also provides the binned mutual-information estimate used for pruning.
+A small CART random forest written directly on numpy, or a nearest-centroid
+model, scored with seeded k-fold cross validation: macro-F1 for
+classification, 1-RAE for regression. Also provides the binned
+mutual-information estimate used for pruning.
 
 Trees grow depth first from one seeded generator per tree, which draws each
 node's candidate features. A node scores all of its candidates in one pass
@@ -19,9 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tabular import CLASSIFICATION, REGRESSION, TASKS, DataError, equal_width_bins
-
-MODELS = ("forest", "tree", "nearest-centroid")
+from .tabular import CLASSIFICATION, REGRESSION, TASKS, DataError, equal_width_bins, scaled_stat
 
 _MIN_GAIN = 1e-12
 
@@ -39,7 +38,7 @@ class EvalConfig:
             raise DataError("folds must be >= 2")
         if self.trees < 1 or self.max_depth < 0:
             raise DataError("trees must be >= 1 and max_depth >= 0")
-        if self.model not in MODELS:
+        if self.model not in _FITTERS:
             raise DataError(f"unknown model {self.model!r}")
 
 
@@ -134,7 +133,7 @@ def _grow(X, y, idx, depth, max_depth, feat_rng, n_subset, task, n_classes):
     if depth >= max_depth or idx.shape[0] < 2 or (ys == ys[0]).all():
         return _Node(value=_leaf_value(y, idx, task, n_classes))
     p = X.shape[1]
-    if feat_rng is not None and n_subset < p:
+    if n_subset < p:
         feats = np.sort(feat_rng.choice(p, size=n_subset, replace=False))
     else:
         feats = np.arange(p)
@@ -205,7 +204,7 @@ def fit_forest(X, y, task: str, cfg: EvalConfig) -> ForestModel:
     X, y = _check_xy(X, y)
     n, p = X.shape
     n_classes = _class_count(y) if task == CLASSIFICATION else 0
-    n_subset = max(1, int(math.isqrt(p)))
+    n_subset = math.isqrt(p)
     roots = []
     for t in range(cfg.trees):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t]))
@@ -216,22 +215,10 @@ def fit_forest(X, y, task: str, cfg: EvalConfig) -> ForestModel:
     return ForestModel(roots=roots, task=task, n_classes=n_classes)
 
 
-def fit_tree(X, y, task: str, cfg: EvalConfig) -> ForestModel:
-    """Single CART on the full sample, all features considered at each split.
-
-    It is a forest of one root: no bootstrap, no feature subsampling, and
-    its vote or mean is the tree's own prediction.
-    """
-    X, y = _check_xy(X, y)
-    n_classes = _class_count(y) if task == CLASSIFICATION else 0
-    root = _grow(X, y, np.arange(X.shape[0]), 0, cfg.max_depth, None, X.shape[1], task, n_classes)
-    return ForestModel(roots=[root], task=task, n_classes=n_classes)
-
-
 def fit_centroid(X, y, task: str, cfg: EvalConfig) -> CentroidModel:
     """Nearest-centroid: class centroids, or 5 label-range centroids for regression."""
     X, y = _check_xy(X, y)
-    groups = y.astype(int) if task == CLASSIFICATION else equal_width_bins(y, 5)
+    groups = y.astype(int) if task == CLASSIFICATION else equal_width_bins(y)
     cents, values = [], []
     for g in np.unique(groups):
         members = groups == g
@@ -242,13 +229,7 @@ def fit_centroid(X, y, task: str, cfg: EvalConfig) -> CentroidModel:
     )
 
 
-_FITTERS = {"forest": fit_forest, "tree": fit_tree, "nearest-centroid": fit_centroid}
-
-
-def fit_model(X, y, task: str, cfg: EvalConfig):
-    if task not in TASKS:
-        raise DataError(f"unknown task {task!r}")
-    return _FITTERS[cfg.model](X, y, task, cfg)
+_FITTERS = {"forest": fit_forest, "nearest-centroid": fit_centroid}
 
 
 def predict(model, X) -> np.ndarray:
@@ -258,8 +239,7 @@ def predict(model, X) -> np.ndarray:
         if model.task == REGRESSION:
             return per_tree.mean(axis=0)
         votes = per_tree.astype(int)
-        n_classes = max(model.n_classes, int(votes.max()) + 1)
-        counts = np.zeros((X.shape[0], n_classes), dtype=int)
+        counts = np.zeros((X.shape[0], model.n_classes), dtype=int)
         for row in votes:
             counts[np.arange(X.shape[0]), row] += 1
         return counts.argmax(axis=1).astype(float)
@@ -296,7 +276,9 @@ def one_minus_rae(y_true, y_pred) -> float:
 def evaluate(X, y, task: str, cfg: EvalConfig) -> float:
     """Pooled out-of-fold score under seeded k-fold cross validation.
 
-    Raises DataError when the score is not finite.
+    Regression labels whose sum of squares overflows are fitted in the
+    power-of-two units of scaled_stat. Raises DataError when the score is
+    not finite.
     """
     X, y = _check_xy(X, y)
     if task not in TASKS:
@@ -307,6 +289,8 @@ def evaluate(X, y, task: str, cfg: EvalConfig) -> float:
     perm = np.random.default_rng(np.random.SeedSequence([cfg.seed, 977])).permutation(n)
     fold_of = np.empty(n, dtype=int)
     fold_of[perm] = np.arange(n) % cfg.folds
+    unit = scaled_stat(lambda u: u @ u, y)[1] if task == REGRESSION else 1.0
+    fit = _FITTERS[cfg.model]
 
     preds = np.empty(n)
     # Labels near the float limit overflow into a non-finite score, refused below.
@@ -315,8 +299,8 @@ def evaluate(X, y, task: str, cfg: EvalConfig) -> float:
             te = fold_of == f
             tr = ~te
             fold_seed = np.random.SeedSequence([cfg.seed, 101, f]).generate_state(1)[0]
-            model = fit_model(X[tr], y[tr], task, replace(cfg, seed=int(fold_seed)))
-            preds[te] = predict(model, X[te])
+            model = fit(X[tr], y[tr] / unit, task, replace(cfg, seed=int(fold_seed)))
+            preds[te] = predict(model, X[te]) * unit
         score = macro_f1(y, preds) if task == CLASSIFICATION else one_minus_rae(y, preds)
     if not math.isfinite(score):
         raise DataError(f"the {task} score is not finite; the labels may overflow")
@@ -343,7 +327,7 @@ def mutual_information(v, y, task: str) -> float:
     if task == CLASSIFICATION:
         _, yb = np.unique(y.astype(int), return_inverse=True)
     else:
-        yb = equal_width_bins(y, 5)
+        yb = equal_width_bins(y)
 
     joint = np.zeros((n_bins, int(yb.max()) + 1))
     np.add.at(joint, (vb, yb), 1.0)

@@ -39,7 +39,7 @@ from .opset import (
 )
 from .reward import StepReward, step_reward
 from .roadmap import Roadmap
-from .tabular import STAT_DIM, Dataset, stratified_split
+from .tabular import STAT_DIM, DataError, Dataset, stratified_split
 
 
 class PipelineError(ValueError):
@@ -98,34 +98,33 @@ class RunConfig:
             raise ConfigError("hidden_size, batch_size, target_sync_every must be >= 1")
 
 
-_EVAL_KEYS = {
-    "folds": "folds",
-    "trees": "trees",
-    "max_depth": "max_depth",
-    "model": "model",
-    "eval_seed": "seed",
-}
+# The evaluator's keys are EvalConfig's fields, its seed named apart from the run's.
+_EVAL_KEYS = {"eval_seed" if f.name == "seed" else f.name: f.name for f in fields(EvalConfig)}
 _RUN_KEYS = {f.name for f in fields(RunConfig)} - {"eval"}
 
 
 def config_from_dict(obj) -> RunConfig:
-    """Build a RunConfig from a flat mapping; unknown keys are rejected."""
+    """Build a RunConfig from a flat mapping; unknown keys are rejected, and
+    so is a value of another JSON type than its default (an int is a float)."""
     if not isinstance(obj, dict):
         raise ConfigError("configuration must be a JSON object")
+    defaults = RunConfig()
     base, eval_kw = {}, {}
     for key, value in obj.items():
         if key in _EVAL_KEYS:
-            eval_kw[_EVAL_KEYS[key]] = value
+            into, name, default = eval_kw, _EVAL_KEYS[key], defaults.eval
         elif key in _RUN_KEYS:
-            base[key] = value
+            into, name, default = base, key, defaults
         else:
             raise ConfigError(f"unknown config key {key!r}")
-    defaults = RunConfig()
+        kind = type(getattr(default, name))
+        kinds = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kinds):
+            raise ConfigError(f"config key {key!r} must be a {kind.__name__}, got {value!r}")
+        into[name] = value
     try:
         return replace(defaults, **base, eval=replace(defaults.eval, **eval_kw))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except DataError as exc:
         raise ConfigError(f"bad configuration: {exc}") from exc
 
 
@@ -195,8 +194,8 @@ APPLY = "apply"
 
 @dataclass
 class _Episode:
-    """One episode's roadmap. pending holds each agent's last transition as
-    terminal until the next decision gives its candidates."""
+    """One episode's roadmap. pending holds each agent's last transition,
+    without next candidates, until the next decision gives them."""
 
     roadmap: Roadmap
     prev_score: float
@@ -472,8 +471,10 @@ class Pipeline:
     def _step(self, ep: _Episode, e: int, s: int, phase: str, best_score: float, timings):
         learning = phase == EXPLORE and not self.cfg.random_policy
         epsilon = self._epsilon(phase)
-        cl = _timed(timings, "clustering", self._cluster, ep.roadmap, s == 0)
-        dec = _timed(timings, "decision", self._decide, ep, cl, epsilon)
+        # Diverged weights overflow here; _cluster and _learn refuse them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cl = _timed(timings, "clustering", self._cluster, ep.roadmap, s == 0)
+            dec = _timed(timings, "decision", self._decide, ep, cl, epsilon)
         grown = _timed(timings, "roadmap_update", self._grow, ep, cl, dec)
         scored = _timed(timings, "reward_estimation", self._score, ep, dec, grown, best_score)
         losses = _timed(timings, "learning", self._learn, ep, cl, dec, scored, learning)
@@ -513,6 +514,8 @@ class Pipeline:
         h = graph.stats
         if self.cfg.use_rgcn:
             h, _ = enc.rgcn_forward(graph, self.encoder.rgcn)
+            # Clustering squares h, so its squares must be finite too.
+            self._refuse_non_finite("the node embeddings", [(h * h).sum()])
         groups = cluster_nodes(
             graph.adjacency,
             graph.stats if first_step else h,
@@ -630,16 +633,23 @@ class Pipeline:
         for role, (state_input, action, groups, op_id) in chosen.items():
             ctx = (cl.graph, enc.StateSpec(groups, op_id)) if cfg.use_rgcn else None
             share = scored.reward.shares[role]
-            ep.pending[role] = ag.Transition(state_input, action, share, [], True, ctx)
-        for role in dec.acting:
-            losses[role] = ag.train_step(
-                self.agents[role],
-                self.rng_replay,
-                gamma=cfg.gamma,
-                lr=cfg.learning_rate,
-                batch_size=cfg.batch_size,
-                encoder=self.encoder,
-            )
+            ep.pending[role] = ag.Transition(state_input, action, share, [], ctx)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for role in dec.acting:
+                agent = self.agents[role]
+                losses[role] = ag.train_step(
+                    agent,
+                    self.rng_replay,
+                    gamma=cfg.gamma,
+                    lr=cfg.learning_rate,
+                    batch_size=cfg.batch_size,
+                    encoder=self.encoder,
+                )
+                if losses[role] is not None:
+                    trained = [losses[role], *agent.prediction.params]
+                    self._refuse_non_finite(f"the {role} agent's loss and weights", trained)
+            if self.encoder is not None:
+                self._refuse_non_finite("the encoder weights", self.encoder.params)
         self.global_step += 1
         if self.global_step % cfg.target_sync_every == 0:
             for a in self.agents.values():
@@ -660,11 +670,18 @@ class Pipeline:
         roadmap.restore(ep.episode_best)
         return "backtrack"
 
+    def _refuse_non_finite(self, what: str, values: list) -> None:
+        if not all(np.isfinite(v).all() for v in values):
+            raise PipelineError(
+                f"training diverged: {what} are not all finite; "
+                f"try a learning_rate below {self.cfg.learning_rate}"
+            )
+
     def _complete_pending(self, ep: _Episode, role: str, next_candidates: list) -> None:
         """Push the role's parked transition, if any, with its next candidates."""
         t = ep.pending.pop(role, None)
         if t is not None:
-            t = replace(t, next_candidates=list(next_candidates), terminal=False)
+            t = replace(t, next_candidates=list(next_candidates))
             ag.push_transition(self.agents[role], t)
 
 

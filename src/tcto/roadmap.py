@@ -9,7 +9,6 @@ signatures stay stable across pruning and backtracking.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -56,10 +55,6 @@ class AddResult:
     created: bool
     revived: bool
 
-    @property
-    def changed(self) -> bool:
-        return self.created or self.revived
-
 
 @dataclass(frozen=True)
 class Snapshot:
@@ -68,9 +63,6 @@ class Snapshot:
     lineage: str
     alive_ids: frozenset
     score: float
-
-
-_lineage_counter = itertools.count()
 
 
 def node_signature(op: Operation | None, parents, origin_name: str | None = None) -> str:
@@ -83,14 +75,14 @@ def node_signature(op: Operation | None, parents, origin_name: str | None = None
 
 
 class Roadmap:
-    def __init__(self, original_columns, lineage: str | None = None):
+    def __init__(self, original_columns, lineage: str):
         names = tuple(str(c) for c in original_columns)
         if not names:
             raise RoadmapError("roadmap needs at least one original column")
         if len(set(names)) != len(names):
             raise RoadmapError("original column names must be unique")
         self.original_columns = names
-        self.lineage = lineage if lineage is not None else f"r{next(_lineage_counter)}"
+        self.lineage = lineage
         self.nodes: list[RoadmapNode] = []
         self._index: dict[str, int] = {}
         self._n_rows: int | None = None
@@ -98,7 +90,9 @@ class Roadmap:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_dataset(cls, d: Dataset, lineage: str | None = None) -> "Roadmap":
+    def from_dataset(cls, d: Dataset, lineage: str) -> "Roadmap":
+        """The roadmap of d's columns. lineage names it: export_json writes
+        it, and restore takes only snapshots of the same lineage."""
         r = cls(d.column_names, lineage=lineage)
         r._n_rows = d.n_rows
         for name, col in zip(d.column_names, d.columns):

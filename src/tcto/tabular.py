@@ -251,7 +251,7 @@ def stratified_split_indices(d: Dataset, test_fraction: float, seed: int):
     if d.task == CLASSIFICATION:
         groups = d.labels.astype(int)
     else:
-        groups = equal_width_bins(d.labels, 5)
+        groups = equal_width_bins(d.labels)
 
     test_parts = []
     for g in np.unique(groups):

@@ -62,7 +62,7 @@ def grow_random_roadmap(roadmap, columns, rng, steps, distinct_values=False):
         ):
             continue
         res = roadmap.add_node(op, parents, vals)
-        if res.changed:
+        if res.created or res.revived:
             columns[res.node_id] = vals
             added += 1
     return added

@@ -78,7 +78,7 @@ def test_a1_replay_determinism():
     roundtrip_ok = True
     for seed in range(20):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
-        roadmap = Roadmap.from_dataset(data)
+        roadmap = Roadmap.from_dataset(data, lineage="t")
         columns = {
             i: np.asarray(data.columns[i], dtype=float)
             for i in range(data.n_features)
@@ -228,7 +228,7 @@ def test_a4_pruning_keeps_the_exhaustive_top_mi_set():
             labels=labels,
             task=task,
         )
-        roadmap = Roadmap.from_dataset(data)
+        roadmap = Roadmap.from_dataset(data, lineage="t")
         columns = {i: np.asarray(cols[i]) for i in range(4)}
         grow_random_roadmap(roadmap, columns, rng, steps=8, distinct_values=True)
         budget = int(rng.integers(4, 9))
@@ -265,7 +265,7 @@ def test_a5_reward_closed_forms_and_conservation():
         labels=np.linspace(0.0, 1.0, 8),
         task=REGRESSION,
     )
-    all_root_exact = complexity_reward(Roadmap.from_dataset(flat)) == 1.0
+    all_root_exact = complexity_reward(Roadmap.from_dataset(flat, lineage="t")) == 1.0
 
     single = Dataset(
         column_names=("a",),
@@ -273,7 +273,7 @@ def test_a5_reward_closed_forms_and_conservation():
         labels=np.array([0.0, 1.0, 0.0, 1.0]),
         task=REGRESSION,
     )
-    deep = Roadmap.from_dataset(single)
+    deep = Roadmap.from_dataset(single, lineage="t")
     op = OP_BY_NAME["square"]
     deep.add_node(op, (0,), apply_unary(op, np.asarray(single.columns[0], dtype=float)))
     depth_gap = abs(complexity_reward(deep) - (1.0 + math.exp(-1.0)) / 2.0)
@@ -316,7 +316,7 @@ def _bandit_prefers_the_rewarding_arm(seed):
     for step in range(200):
         epsilon = 0.9 * (1.0 - step / 199.0)
         arm = select_candidate(agent, list(_ARMS), epsilon, rng)
-        push_transition(agent, Transition(_ARMS[arm].copy(), 0, float(arm == 1), [], True))
+        push_transition(agent, Transition(_ARMS[arm].copy(), 0, float(arm == 1), []))
         train_step(agent, rng, gamma=0.0, lr=0.01, batch_size=8)
     return epsilon_greedy(candidate_q_values(agent, list(_ARMS)), 0.0, rng) == 1
 
@@ -332,7 +332,7 @@ def test_a6_bandit_learning_sanity():
         for i in range(16):
             arm = i % 2
             push_transition(
-                agent, Transition(_ARMS[arm].copy(), 0, float(arm == 1), [], True)
+                agent, Transition(_ARMS[arm].copy(), 0, float(arm == 1), [])
             )
         losses = [
             train_step(agent, rng, gamma=0.0, lr=0.01, batch_size=8)

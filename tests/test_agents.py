@@ -39,7 +39,6 @@ def _terminal(x, r):
         action=0,
         reward=float(r),
         next_candidates=[],
-        terminal=True,
     )
 
 
@@ -144,23 +143,6 @@ def test_buffer_keeps_the_freshest_sixteen():
     assert agent.buffer[-1].reward == 16.0
 
 
-def test_non_terminal_transitions_need_next_candidates():
-    agent = _head_agent()
-    with pytest.raises(ValueError):
-        push_transition(
-            agent,
-            Transition(
-                state_input=np.zeros(3),
-                action=0,
-                reward=0.0,
-                next_candidates=[],
-                terminal=False,
-            ),
-        )
-    push_transition(agent, _terminal(np.zeros(3), 0.0))
-    assert len(agent.buffer) == 1
-
-
 # -- training ----------------------------------------------------------------------------
 
 
@@ -204,7 +186,6 @@ def test_vector_agents_index_the_loss_by_the_stored_action():
                 action=k % 4,
                 reward=rng_data.normal(),
                 next_candidates=[],
-                terminal=True,
             ),
         )
     twin = np.random.default_rng(16)
@@ -231,7 +212,6 @@ def test_td_targets_flow_through_the_target_network():
                 action=0,
                 reward=0.25,
                 next_candidates=[cand],
-                terminal=False,
             ),
         )
     agent.target.biases[-1][:] += 1.0
@@ -320,7 +300,6 @@ def test_training_reencodes_states_through_the_live_encoder():
                 action=0,
                 reward=0.5,
                 next_candidates=[],
-                terminal=True,
                 state_ctx=(graph, spec),
             ),
         )
@@ -342,7 +321,6 @@ def test_training_updates_the_encoder_parameters():
                 action=0,
                 reward=3.0,
                 next_candidates=[],
-                terminal=True,
                 state_ctx=(graph, spec),
             ),
         )
@@ -367,7 +345,6 @@ def test_without_an_encoder_the_stored_inputs_are_used_and_it_stays_frozen():
                 action=0,
                 reward=0.5,
                 next_candidates=[],
-                terminal=True,
                 state_ctx=(graph, spec),
             ),
         )

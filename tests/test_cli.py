@@ -1,4 +1,4 @@
-"""Command line interface: artifacts, exit codes, environment overrides."""
+"""Command line interface: artifacts, exit codes, configuration."""
 
 import json
 
@@ -8,7 +8,7 @@ import pytest
 from tcto.cli import main
 from tcto.pipeline import Pipeline, config_from_dict
 from tcto.roadmap import Roadmap
-from tcto.synth import write_csv
+from tcto.synth import synthetic_regression, write_csv
 from tcto.tabular import Dataset
 
 FAST_CONFIG = {
@@ -207,55 +207,72 @@ def test_train_cli_flags_override_the_config_file(tmp_path, fast_config_path):
     assert len(lines) == 2 * 2 + 1 * 2
 
 
-def test_environment_seed_wins_over_the_flag(tmp_path, fast_config_path, monkeypatch):
+def _train(tmp_path, config: dict, *flags):
     csv_path = tmp_path / "data.csv"
     _write_dataset(csv_path)
+    config_path = tmp_path / "config_in.json"
+    config_path.write_text(json.dumps(config))
     out = tmp_path / "run"
+    argv = ["train", "--data", str(csv_path), "--task", "reg", "--label", "label"]
+    code = main(argv + ["--out", str(out), "--config", str(config_path), *flags])
+    return code, out
+
+
+def test_the_environment_does_not_set_the_seed(tmp_path, monkeypatch):
     monkeypatch.setenv("TCTO_SEED", "123")
-    code = main(
-        [
-            "train",
-            "--data",
-            str(csv_path),
-            "--task",
-            "reg",
-            "--label",
-            "label",
-            "--out",
-            str(out),
-            "--config",
-            fast_config_path,
-            "--seed",
-            "5",
-        ]
-    )
+    code, out = _train(tmp_path, FAST_CONFIG, "--seed", "5")
     assert code == 0
-    assert json.loads((out / "config.json").read_text())["run"]["seed"] == 123
+    assert json.loads((out / "config.json").read_text())["run"]["seed"] == 5
 
 
-def test_non_integer_environment_seed_is_a_config_error(
-    tmp_path, fast_config_path, monkeypatch, capsys
-):
-    csv_path = tmp_path / "data.csv"
-    _write_dataset(csv_path)
-    monkeypatch.setenv("TCTO_SEED", "many")
-    code = main(
-        [
-            "train",
-            "--data",
-            str(csv_path),
-            "--task",
-            "reg",
-            "--label",
-            "label",
-            "--out",
-            str(tmp_path / "run"),
-            "--config",
-            fast_config_path,
-        ]
-    )
+def test_a_flag_replaces_a_file_value_before_validation(tmp_path):
+    code, out = _train(tmp_path, {**FAST_CONFIG, "episodes": -1}, "--episodes", "1")
+    assert code == 0
+    assert json.loads((out / "config.json").read_text())["run"]["episodes"] == 1
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("episodes", 1.5),
+        ("steps_per_episode", 2.0),
+        ("folds", 2.5),
+        ("seed", 1.5),
+        ("use_rgcn", "false"),
+        ("hidden_size", 2.5),
+        ("candidate_cap", 1.5),
+        ("episodes", True),
+    ],
+)
+def test_a_config_value_of_the_wrong_json_type_exits_one(tmp_path, capsys, key, value):
+    code, out = _train(tmp_path, {**FAST_CONFIG, key: value})
     assert code == 1
-    assert "TCTO_SEED" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"tcto: config key {key!r}")
+    assert not out.exists()
+
+
+def test_a_diverging_run_exits_two_and_writes_no_nan(tmp_path, capsys):
+    csv_path = tmp_path / "data.csv"
+    write_csv(synthetic_regression(n=80, seed=1), csv_path)
+    config = {
+        "episodes": 3,
+        "steps_per_episode": 12,
+        "application_episodes": 1,
+        "learning_rate": 10.0,
+        "folds": 2,
+        "trees": 2,
+        "max_depth": 3,
+    }
+    config_path = tmp_path / "diverge.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    argv = ["train", "--data", str(csv_path), "--task", "reg", "--label", "label"]
+    code = main(argv + ["--out", str(out), "--config", str(config_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tcto: training diverged") and "learning_rate" in err
+    assert "agent" in err or "encoder" in err
+    assert not any("NaN" in f.read_text() for f in out.iterdir())
 
 
 def test_unknown_config_key_exits_one(tmp_path, capsys):

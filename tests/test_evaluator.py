@@ -12,10 +12,9 @@ from tcto.evaluator import (
     EvalConfig,
     ForestModel,
     _best_split,
+    _grow,
     evaluate,
     fit_forest,
-    fit_model,
-    fit_tree,
     macro_f1,
     mutual_information,
     one_minus_rae,
@@ -127,21 +126,28 @@ def test_split_search_matches_the_per_feature_reference(
     )
 
 
+def _single_tree(X, y, task, max_depth):
+    """A one-root forest that _grow grew on every row with every feature."""
+    n_classes = int(y.max()) + 1 if task == CLASSIFICATION else 0
+    root = _grow(X, y, np.arange(X.shape[0]), 0, max_depth, None, X.shape[1], task, n_classes)
+    return ForestModel([root], task, n_classes)
+
+
 def test_single_threshold_feature_is_learned_perfectly():
     x = np.linspace(-1.0, 1.0, 30)
     y = (x > 0.15).astype(float)
-    model = fit_tree(x[:, None], y, "classification", EvalConfig(max_depth=8))
+    model = _single_tree(x[:, None], y, "classification", max_depth=8)
     assert macro_f1(y, predict(model, x[:, None])) == 1.0
 
 
 def test_depth_zero_tree_predicts_majority_or_mean():
     X = np.arange(10.0)[:, None]
     y_cls = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1, 1], dtype=float)
-    tree = fit_tree(X, y_cls, "classification", EvalConfig(max_depth=0))
+    tree = _single_tree(X, y_cls, "classification", max_depth=0)
     assert np.all(predict(tree, X) == 0.0)
 
     y_reg = np.arange(10.0)
-    tree = fit_tree(X, y_reg, "regression", EvalConfig(max_depth=0))
+    tree = _single_tree(X, y_reg, "regression", max_depth=0)
     assert np.all(predict(tree, X) == y_reg.mean())
 
 
@@ -157,7 +163,7 @@ def test_depth_zero_forest_is_a_constant_predictor():
 
 def test_single_tree_overfits_the_identity_map():
     x = np.linspace(0.0, 1.0, 100)
-    model = fit_tree(x[:, None], x, "regression", EvalConfig(max_depth=8))
+    model = _single_tree(x[:, None], x, "regression", max_depth=8)
     assert one_minus_rae(x, predict(model, x[:, None])) > 0.9
 
 
@@ -173,10 +179,7 @@ def test_forest_regression_averages_its_trees():
 
 
 def test_fit_model_validates_task_and_inputs():
-    X = np.zeros((4, 2))
     y = np.zeros(4)
-    with pytest.raises(DataError):
-        fit_model(X, y, "ranking", EvalConfig())
     with pytest.raises(DataError):
         fit_forest(np.zeros((4, 2)), np.zeros(3), "regression", EvalConfig())
     with pytest.raises(DataError):
@@ -227,9 +230,20 @@ def test_centroid_scores_ignore_column_order_exactly():
 
 def test_all_three_model_kinds_produce_bounded_scores():
     X, y = _separable(n=40, seed=5)
-    for model in ("forest", "tree", "nearest-centroid"):
+    for model in ("forest", "nearest-centroid"):
         score = evaluate(X, y, "classification", EvalConfig(model=model, folds=4))
         assert score <= 1.0
+
+
+def test_huge_regression_labels_keep_their_score():
+    # Past about 1e154 the split search's sums of squares would overflow.
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(60, 3))
+    y = X[:, 0] * 2.0 + np.sin(X[:, 1]) + rng.normal(scale=0.1, size=60)
+    cfg = EvalConfig(folds=3, trees=5, max_depth=4)
+    scores = [evaluate(X, y * k, "regression", cfg) for k in (1.0, 1e150, 1e160, 1e200, 1e300)]
+    assert scores[0] > 0.4
+    assert max(scores) - min(scores) < 1e-12
 
 
 def test_evaluate_input_validation():
@@ -252,6 +266,8 @@ def test_eval_config_validation():
         EvalConfig(max_depth=-1)
     with pytest.raises(DataError):
         EvalConfig(model="svm")
+    with pytest.raises(DataError):
+        EvalConfig(model="tree")
     assert EvalConfig(max_depth=0).max_depth == 0
 
 

@@ -4,6 +4,8 @@ import base64
 import copy
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ import tcto.pipeline
 from helpers import alive_edge_matrix
 from tcto.agents import HEAD, OPERAND, OPERATION
 from tcto.encoder import squash_stats
-from tcto.evaluator import EvalConfig, evaluate
+from tcto.evaluator import _FITTERS, EvalConfig, evaluate
 from tcto.pipeline import (
     APPLY,
     EXPLORE,
@@ -101,6 +103,16 @@ def test_config_surfaces_bad_values_as_config_errors():
         config_from_dict({"episodes": "many"})
     with pytest.raises(ConfigError):
         config_from_dict({"folds": 1})
+
+
+def test_readme_configuration_table_matches_the_program():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    keys = [key for cell, _ in rows for key in re.findall(r"`([^`]+)`", cell)]
+    assert sorted(keys) == sorted(config_to_dict(RunConfig()))
+    (model_row,) = [meaning for cell, meaning in rows if "`model`" in cell]
+    assert re.findall(r'`"([^"`]+)"`', model_row) == list(_FITTERS)
 
 
 @pytest.mark.parametrize(
@@ -342,7 +354,7 @@ def test_each_step_runs_one_encoder_pass_and_clusters_on_it(monkeypatch):
     pipe = Pipeline(data, _tiny_cfg(random_policy=True, use_rgcn=True, episodes=2))
     report = pipe.train()
     assert len(forwards) == len(clustered) == len(report.records) == 10
-    roots = Roadmap.from_dataset(pipe.train_data).alive_nodes()
+    roots = Roadmap.from_dataset(pipe.train_data, lineage="t").alive_nodes()
     first = squash_stats(np.stack([n.stats for n in roots]))
     for rec, h, emb in zip(report.records, forwards, clustered):
         assert np.array_equal(emb, first if rec.step == 0 else h)

@@ -82,7 +82,7 @@ def test_live_duplicates_are_deduplicated():
     assert r.find(SUB, (1, 0)) is None
     again = r.add_node(ADD, (1, 0), None)
     assert again.node_id == first.node_id
-    assert not again.created and not again.revived and not again.changed
+    assert not again.created and not again.revived
     assert r.alive_count == 4
 
 
@@ -95,7 +95,7 @@ def test_dead_duplicates_are_revived_in_place():
     assert r.find(ADD, (0, 1)) is r.nodes[created.node_id]
     revived = r.add_node(ADD, (0, 1), None)
     assert revived.node_id == created.node_id
-    assert revived.revived and not revived.created and revived.changed
+    assert revived.revived and not revived.created
     assert r.nodes[created.node_id].alive
     assert np.array_equal(r.nodes[created.node_id].values, cols[0] + cols[1])
 
@@ -117,9 +117,9 @@ def test_growth_contract_violations():
 
 def test_roadmap_requires_unique_column_names():
     with pytest.raises(RoadmapError):
-        Roadmap(("a", "a"))
+        Roadmap(("a", "a"), lineage="t")
     with pytest.raises(RoadmapError):
-        Roadmap(())
+        Roadmap((), lineage="t")
 
 
 # -- graph views -----------------------------------------------------------------
