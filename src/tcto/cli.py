@@ -190,17 +190,12 @@ def _cmd_apply(args) -> int:
     config_path = roadmap_path.parent / "config.json"
     if not config_path.exists():
         raise DataError(f"missing {config_path}; apply needs the run's config.json")
-    with open(config_path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"malformed config.json: {exc}") from exc
-    try:
-        task = _TASK_FLAGS[doc["task"]]
-        label = doc["label"]
-        cfg = config_from_dict(doc["run"])
-    except KeyError as exc:
-        raise DataError(f"config.json is missing key {exc}") from exc
+    task, label, run = _fields(
+        config_path.read_text(encoding="utf-8"), "config.json", task=str, label=str, run=dict
+    )
+    if task not in _TASK_FLAGS:
+        raise DataError(f"config.json has an unknown task {task!r}")
+    task, cfg = _TASK_FLAGS[task], config_from_dict(run)
 
     dataset = load_csv(args.data, task, label)
     train_d, test_d = stratified_split(dataset, cfg.test_fraction, cfg.seed)

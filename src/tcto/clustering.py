@@ -81,28 +81,23 @@ def hierarchical_cluster(rows, k: int) -> list:
     m = x.shape[0]
     if not 1 <= k <= m:
         raise ValueError(f"k must lie in [1, {m}], got {k}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("clustering input contains non-finite values")
-
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = x[:, None, :] - x[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=2))
+    if not np.all(np.isfinite(dist)):
+        raise ValueError("clustering input is non-finite or too large to measure")
     active = np.ones(m, dtype=bool)
     size = np.ones(m)
-    min_member = np.arange(m)
     members = [[i] for i in range(m)]
     np.fill_diagonal(dist, np.inf)
 
     # Rows and columns of merged-away clusters are set to inf, so the
-    # minimum over dist is the minimum over active pairs.
+    # minimum over dist is the minimum over active pairs. A merge keeps the
+    # lower row, so each active row is its cluster's smallest member, and
+    # dist stays symmetric: the first minimum in row-major order is the
+    # tied pair (i, j), i < j, with the lowest member ids.
     for _ in range(m - k):
-        best = dist.min()
-        pairs = np.argwhere(dist == best)
-        pairs = pairs[pairs[:, 0] < pairs[:, 1]]
-        key = sorted(
-            (tuple(sorted((int(min_member[i]), int(min_member[j])))), (int(i), int(j)))
-            for i, j in pairs
-        )
-        i, j = key[0][1]
+        i, j = divmod(int(dist.argmin()), m)
         # Lance-Williams update keeps cluster distances equal to the mean
         # of the underlying pairwise point distances
         merged = (size[i] * dist[i] + size[j] * dist[j]) / (size[i] + size[j])
@@ -114,9 +109,8 @@ def hierarchical_cluster(rows, k: int) -> list:
         dist[:, j] = np.inf
         size[i] += size[j]
         members[i].extend(members[j])
-        min_member[i] = min(min_member[i], min_member[j])
 
-    return sorted((sorted(members[i]) for i in range(m) if active[i]), key=min)
+    return [sorted(members[i]) for i in range(m) if active[i]]
 
 
 def cluster_nodes(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .nnsub import glorot_uniform
 from .opset import N_OPERATIONS
-from .tabular import STAT_DIM
+from .tabular import STAT_DIM, read_only
 
 DEFAULT_DIMS = (STAT_DIM, 32, 64)
 
@@ -55,7 +55,7 @@ class GraphSnapshot:
         for i, parents in enumerate(self.parents):
             if parents:
                 p[i, list(parents)] = 1.0 / len(parents)
-        return _read_only(p)
+        return read_only(p)
 
     @cached_property
     def rows_by_relation(self) -> tuple:
@@ -66,12 +66,7 @@ class GraphSnapshot:
             rel = int(self.relations[i])
             if rel >= 0 and parents:
                 out.setdefault(rel, []).append(i)
-        return tuple((rel, _read_only(np.array(rows))) for rel, rows in sorted(out.items()))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+        return tuple((rel, read_only(np.array(rows))) for rel, rows in sorted(out.items()))
 
 
 def squash_stats(stats) -> np.ndarray:
@@ -98,7 +93,7 @@ def snapshot_from_roadmap(r) -> GraphSnapshot:
         tuple(pos[p] for p in n.parents if p in pos) for n in alive
     )
     return GraphSnapshot(
-        stats=_read_only(stats), relations=_read_only(relations), parents=parents
+        stats=read_only(stats), relations=read_only(relations), parents=parents
     )
 
 

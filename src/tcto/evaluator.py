@@ -5,12 +5,15 @@ model, scored with seeded k-fold cross validation: macro-F1 for
 classification, 1-RAE for regression. Also provides the binned
 mutual-information estimate used for pruning.
 
-Trees grow depth first from one seeded generator per tree, which draws each
-node's candidate features. A node scores all of its candidates in one pass
-over its (rows x candidates) block, so the per-node cost is a handful of
-numpy calls whatever the number of candidates; the arithmetic and its order
-are those of a per-feature scan (tests/oracles.py keeps one), so every
-threshold, and every score, is the same bit for bit.
+Each fold trains its model and predicts its held-out rows in one pass, and
+no model is kept: a tree sends the held-out rows down each split as it grows
+and writes their predictions at its leaves. Trees grow depth first from one
+seeded generator per tree, which draws each node's candidate features. A
+node scores all of its candidates in one pass over its (rows x candidates)
+block, so the per-node cost is a handful of numpy calls whatever the number
+of candidates; the arithmetic and its order are those of a per-feature scan
+(tests/oracles.py keeps one), so every threshold, and every score, is the
+same bit for bit.
 """
 
 from __future__ import annotations
@@ -38,21 +41,8 @@ class EvalConfig:
             raise DataError("folds must be >= 2")
         if self.trees < 1 or self.max_depth < 0:
             raise DataError("trees must be >= 1 and max_depth >= 0")
-        if self.model not in _FITTERS:
+        if self.model not in _MODELS:
             raise DataError(f"unknown model {self.model!r}")
-
-
-@dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    value: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
 
 
 def _gini(counts: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -128,125 +118,71 @@ def _leaf_value(y, idx, task, n_classes) -> float:
     return float(ys.sum() / ys.shape[0])  # ys.mean() without the wrapper
 
 
-def _grow(X, y, idx, depth, max_depth, feat_rng, n_subset, task, n_classes):
+def _grow(X, y, idx, X_te, te, out, depth, max_depth, feat_rng, n_subset, task, n_classes):
+    """Grow a CART tree on the rows idx of X and write its predictions for
+    the rows te of X_te into out.
+
+    Each split sends the held-out rows left or right with the test it found
+    on the training rows, and each leaf writes its value to the rows that
+    reach it. Growth reads only the training rows, so the tree and its
+    feature draws do not depend on te, which may be empty.
+    """
     ys = y[idx]
-    if depth >= max_depth or idx.shape[0] < 2 or (ys == ys[0]).all():
-        return _Node(value=_leaf_value(y, idx, task, n_classes))
-    p = X.shape[1]
-    if n_subset < p:
-        feats = np.sort(feat_rng.choice(p, size=n_subset, replace=False))
-    else:
-        feats = np.arange(p)
-    split = _best_split(X, y, idx, feats, task, n_classes)
-    if split is None:
-        return _Node(value=_leaf_value(y, idx, task, n_classes))
-    f, thr = split
-    mask = X[idx, f] <= thr
-    # Midpoints of extreme adjacent values can overflow to inf or round
-    # onto an endpoint, emptying one side; such a split carries no signal.
-    if mask.all() or not mask.any():
-        return _Node(value=_leaf_value(y, idx, task, n_classes))
-    left = _grow(X, y, idx[mask], depth + 1, max_depth, feat_rng, n_subset, task, n_classes)
-    right = _grow(X, y, idx[~mask], depth + 1, max_depth, feat_rng, n_subset, task, n_classes)
-    return _Node(feature=f, threshold=thr, left=left, right=right)
-
-
-def _predict_tree(root: _Node, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0])
-    stack = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = node.value
+    if depth < max_depth and idx.shape[0] >= 2 and not (ys == ys[0]).all():
+        p = X.shape[1]
+        if n_subset < p:
+            feats = np.sort(feat_rng.choice(p, size=n_subset, replace=False))
         else:
-            mask = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
-    return out
+            feats = np.arange(p)
+        split = _best_split(X, y, idx, feats, task, n_classes)
+        if split is not None:
+            f, thr = split
+            mask = X[idx, f] <= thr
+            # Midpoints of extreme adjacent values can overflow to inf or round
+            # onto an endpoint, emptying one side; such a split carries no signal.
+            if mask.any() and not mask.all():
+                go_left = X_te[te, f] <= thr
+                rest = (out, depth + 1, max_depth, feat_rng, n_subset, task, n_classes)
+                _grow(X, y, idx[mask], X_te, te[go_left], *rest)
+                _grow(X, y, idx[~mask], X_te, te[~go_left], *rest)
+                return
+    out[te] = _leaf_value(y, idx, task, n_classes)
 
 
-@dataclass
-class ForestModel:
-    roots: list
-    task: str
-    n_classes: int
-
-
-@dataclass
-class CentroidModel:
-    centroids: np.ndarray
-    values: np.ndarray
-    task: str
-
-
-def _check_xy(X, y):
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2:
-        raise DataError("feature matrix must be 2-dimensional")
-    if X.shape[0] != y.shape[0]:
-        raise DataError("feature/label row mismatch")
-    if X.shape[0] < 2 or X.shape[1] < 1:
-        raise DataError("need at least 2 rows and 1 feature")
-    if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
-        raise DataError("non-finite entries in evaluation input")
-    return X, y
-
-
-def _class_count(y: np.ndarray) -> int:
-    return int(y.max()) + 1
-
-
-def fit_forest(X, y, task: str, cfg: EvalConfig) -> ForestModel:
-    """Bootstrap-aggregated CART trees with sqrt(p) feature subsampling."""
-    X, y = _check_xy(X, y)
+def _forest(X, y, X_te, task: str, cfg: EvalConfig) -> np.ndarray:
+    """Bootstrap-aggregated CART trees with sqrt(p) feature subsampling,
+    trained on (X, y); returns their predictions for X_te: the mean over
+    trees for regression, the most-voted class (lowest on ties) otherwise."""
     n, p = X.shape
-    n_classes = _class_count(y) if task == CLASSIFICATION else 0
     n_subset = math.isqrt(p)
-    roots = []
-    for t in range(cfg.trees):
+    n_classes = int(y.max()) + 1 if task == CLASSIFICATION else 0
+    te = np.arange(X_te.shape[0])
+    per_tree = np.empty((cfg.trees, te.shape[0]))
+    for t, out in enumerate(per_tree):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t]))
-        sample = rng.integers(0, n, size=n)
-        roots.append(
-            _grow(X, y, np.sort(sample), 0, cfg.max_depth, rng, n_subset, task, n_classes)
-        )
-    return ForestModel(roots=roots, task=task, n_classes=n_classes)
+        sample = np.sort(rng.integers(0, n, size=n))
+        _grow(X, y, sample, X_te, te, out, 0, cfg.max_depth, rng, n_subset, task, n_classes)
+    if task == REGRESSION:
+        return per_tree.mean(axis=0)
+    votes = (per_tree[:, :, None] == np.arange(n_classes)).sum(axis=0)
+    return votes.argmax(axis=1).astype(float)
 
 
-def fit_centroid(X, y, task: str, cfg: EvalConfig) -> CentroidModel:
-    """Nearest-centroid: class centroids, or 5 label-range centroids for regression."""
-    X, y = _check_xy(X, y)
+def _centroid(X, y, X_te, task: str, cfg: EvalConfig) -> np.ndarray:
+    """Nearest-centroid over class centroids, or over 5 label-range
+    centroids for regression, trained on (X, y); returns the predictions
+    for X_te."""
     groups = y.astype(int) if task == CLASSIFICATION else equal_width_bins(y)
     cents, values = [], []
     for g in np.unique(groups):
         members = groups == g
         cents.append(X[members].mean(axis=0))
         values.append(float(g) if task == CLASSIFICATION else float(y[members].mean()))
-    return CentroidModel(
-        centroids=np.array(cents), values=np.array(values), task=task
-    )
+    d2 = ((X_te[:, None, :] - np.array(cents)[None, :, :]) ** 2).sum(axis=2)
+    return np.array(values)[d2.argmin(axis=1)]
 
 
-_FITTERS = {"forest": fit_forest, "nearest-centroid": fit_centroid}
-
-
-def predict(model, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if isinstance(model, ForestModel):
-        per_tree = np.stack([_predict_tree(r, X) for r in model.roots])
-        if model.task == REGRESSION:
-            return per_tree.mean(axis=0)
-        votes = per_tree.astype(int)
-        counts = np.zeros((X.shape[0], model.n_classes), dtype=int)
-        for row in votes:
-            counts[np.arange(X.shape[0]), row] += 1
-        return counts.argmax(axis=1).astype(float)
-    if isinstance(model, CentroidModel):
-        d2 = ((X[:, None, :] - model.centroids[None, :, :]) ** 2).sum(axis=2)
-        return model.values[d2.argmin(axis=1)]
-    raise TypeError(f"unknown model type {type(model)!r}")
+_MODELS = {"forest": _forest, "nearest-centroid": _centroid}
 
 
 def macro_f1(y_true, y_pred) -> float:
@@ -280,17 +216,27 @@ def evaluate(X, y, task: str, cfg: EvalConfig) -> float:
     power-of-two units of scaled_stat. Raises DataError when the score is
     not finite.
     """
-    X, y = _check_xy(X, y)
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2:
+        raise DataError("feature matrix must be 2-dimensional")
+    if X.shape[0] != y.shape[0]:
+        raise DataError("feature/label row mismatch")
+    if X.shape[0] < 2 or X.shape[1] < 1:
+        raise DataError("need at least 2 rows and 1 feature")
+    if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
+        raise DataError("non-finite entries in evaluation input")
     if task not in TASKS:
         raise DataError(f"unknown task {task!r}")
     n = X.shape[0]
-    if n < cfg.folds:
-        raise DataError(f"need at least {cfg.folds} rows for {cfg.folds}-fold CV")
+    # -(-n // folds) rows make the largest fold; every fold trains on 2 or more.
+    if n < cfg.folds or n - -(-n // cfg.folds) < 2:
+        raise DataError(f"{n} rows are too few for {cfg.folds}-fold CV")
     perm = np.random.default_rng(np.random.SeedSequence([cfg.seed, 977])).permutation(n)
     fold_of = np.empty(n, dtype=int)
     fold_of[perm] = np.arange(n) % cfg.folds
     unit = scaled_stat(lambda u: u @ u, y)[1] if task == REGRESSION else 1.0
-    fit = _FITTERS[cfg.model]
+    model = _MODELS[cfg.model]
 
     preds = np.empty(n)
     # Labels near the float limit overflow into a non-finite score, refused below.
@@ -299,8 +245,8 @@ def evaluate(X, y, task: str, cfg: EvalConfig) -> float:
             te = fold_of == f
             tr = ~te
             fold_seed = np.random.SeedSequence([cfg.seed, 101, f]).generate_state(1)[0]
-            model = fit(X[tr], y[tr] / unit, task, replace(cfg, seed=int(fold_seed)))
-            preds[te] = predict(model, X[te]) * unit
+            fold_cfg = replace(cfg, seed=int(fold_seed))
+            preds[te] = model(X[tr], y[tr] / unit, X[te], task, fold_cfg) * unit
         score = macro_f1(y, preds) if task == CLASSIFICATION else one_minus_rae(y, preds)
     if not math.isfinite(score):
         raise DataError(f"the {task} score is not finite; the labels may overflow")

@@ -292,6 +292,8 @@ class Roadmap:
             lineage = doc["lineage"]
         except KeyError as exc:
             raise SchemaError(f"missing roadmap key {exc}") from exc
+        if not isinstance(columns, list) or not all(isinstance(c, str) for c in columns):
+            raise SchemaError("original_columns must be a list of column names")
         if not isinstance(raw_nodes, list) or len(raw_nodes) < len(columns):
             raise SchemaError("node list shorter than the original column list")
 
@@ -320,7 +322,7 @@ class Roadmap:
                 if op_name not in OP_BY_NAME:
                     raise SchemaError(f"unknown operation {op_name!r}")
                 op = OP_BY_NAME[op_name]
-                if len(parents) != op.arity or any(p >= k for p in parents):
+                if len(parents) != op.arity or any(not 0 <= p < k for p in parents):
                     raise SchemaError(f"node {k} has invalid parents {parents}")
                 want = max(r.nodes[p].depth for p in parents) + 1
                 if depth != want:
@@ -333,6 +335,8 @@ class Roadmap:
             r._index[sig] = k
         if any(not r.nodes[i].is_root for i in range(len(columns))):
             raise SchemaError("the first nodes must be the original columns")
+        if not r.alive_ids():
+            raise SchemaError("the roadmap has no alive node")
         return r
 
     def export_dot(self) -> str:

@@ -34,7 +34,7 @@ def column_stats(v) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise DataError("column contains non-finite values")
     stats, s = scaled_stat(_plain_stats, v)
-    return _readonly(stats * s)
+    return read_only(stats * s)
 
 
 def scaled_stat(stat, v: np.ndarray):
@@ -83,8 +83,8 @@ class Dataset:
             raise DataError("column name/vector count mismatch")
         if not self.columns:
             raise DataError("dataset needs at least one feature column")
-        cols = tuple(_readonly(np.asarray(c, dtype=float)) for c in self.columns)
-        labels = _readonly(np.asarray(self.labels, dtype=float))
+        cols = tuple(read_only(np.asarray(c, dtype=float)) for c in self.columns)
+        labels = read_only(np.asarray(self.labels, dtype=float))
         n = cols[0].shape[0]
         if n < 2:
             raise DataError("dataset needs at least 2 rows")
@@ -134,7 +134,8 @@ class Dataset:
         )
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a, or a copy of a view, flagged read-only."""
     a = a.copy() if not a.flags.owndata else a
     a.flags.writeable = False
     return a

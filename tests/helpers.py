@@ -3,7 +3,6 @@
 import numpy as np
 
 from tcto.opset import OPERATIONS, apply_binary, apply_unary
-from tcto.roadmap import Roadmap
 from tcto.tabular import CLASSIFICATION, REGRESSION, Dataset
 
 

@@ -103,6 +103,32 @@ def best_partition(points, k):
     return frozenset(frozenset(b) for b in best)
 
 
+def average_linkage_reference(points, k):
+    """Average-linkage clustering down to k clusters, ties spelled out.
+
+    Clusters are keyed by their smallest member. Of the closest pairs of
+    clusters, the one whose two keys, sorted, are lowest merges. Distances
+    and the Lance-Williams update use the package's arithmetic one pair at
+    a time, so distances, and therefore ties, are the same bits.
+    """
+    x = np.asarray(points, dtype=float)
+    members = {i: [i] for i in range(len(x))}
+    dist = {}
+    for a, b in itertools.combinations(range(len(x)), 2):
+        d = x[a] - x[b]
+        dist[a, b] = math.sqrt(float((d * d).sum()))
+    while len(members) > k:
+        a, b = min(dist, key=lambda pair: (dist[pair], pair))
+        size_a, size_b = float(len(members[a])), float(len(members[b]))
+        for c in members:
+            if c not in (a, b):
+                ac, bc = (min(a, c), max(a, c)), (min(b, c), max(b, c))
+                dist[ac] = (size_a * dist[ac] + size_b * dist[bc]) / (size_a + size_b)
+        members[a] += members.pop(b)
+        dist = {pair: d for pair, d in dist.items() if b not in pair}
+    return [sorted(members[c]) for c in sorted(members)]
+
+
 def as_partition(groups):
     """Normalize a list of member groups into a set of frozensets."""
     return frozenset(frozenset(g) for g in groups)

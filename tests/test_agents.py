@@ -11,7 +11,6 @@ from tcto.agents import (
     OPERAND,
     OPERATION,
     ROLES,
-    Agent,
     Transition,
     candidate_q_values,
     epsilon_greedy,

@@ -526,6 +526,49 @@ def test_apply_with_a_corrupt_roadmap_exits_two(run_dir, capsys):
     capsys.readouterr()
 
 
+def _with_negative_parent(doc):
+    nodes = doc["nodes"]
+    child = {
+        "id": len(nodes),
+        "op": "add",
+        "parents": [0, -1],
+        "depth": max(nodes[0]["depth"], nodes[-1]["depth"]) + 1,
+        "alive": True,
+        "stats": nodes[0]["stats"],
+    }
+    return {**doc, "nodes": nodes + [child]}
+
+
+@pytest.mark.parametrize(
+    "artifact,mutate",
+    [
+        ("best_roadmap.json", _with_negative_parent),
+        ("best_roadmap.json", lambda doc: {**doc, "original_columns": 5}),
+        (
+            "best_roadmap.json",
+            lambda doc: {**doc, "nodes": [{**n, "alive": False} for n in doc["nodes"]]},
+        ),
+        ("config.json", lambda doc: []),
+        ("config.json", lambda doc: {**doc, "task": ["reg"]}),
+    ],
+    ids=["negative-parent", "columns-not-a-list", "all-dead", "config-a-list", "task-a-list"],
+)
+def test_malformed_run_artifacts_exit_two(run_dir, capsys, artifact, mutate):
+    tmp_path, csv_path, out = run_dir
+    path = out / artifact
+    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    roadmap = str(out / "best_roadmap.json")
+    capsys.readouterr()
+    code = main(
+        ["apply", "--data", str(csv_path), "--roadmap", roadmap, "--out", str(tmp_path / "a")]
+    )
+    assert code == 2
+    assert "tcto: " in capsys.readouterr().err
+    if artifact == "best_roadmap.json":
+        assert main(["export", "--roadmap", roadmap, "--format", "json"]) == 2
+        assert "tcto: " in capsys.readouterr().err
+
+
 # -- export -------------------------------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import as_partition, best_partition, blob_points
+from oracles import as_partition, average_linkage_reference, best_partition, blob_points
 from tcto.clustering import (
     cluster_count,
     cluster_nodes,
@@ -165,6 +165,9 @@ def test_hierarchical_input_validation():
     bad[1, 0] = np.nan
     with pytest.raises(ValueError):
         hierarchical_cluster(bad, 2)
+    # Finite rows whose distances overflow leave no closest pair to merge.
+    with pytest.raises(ValueError):
+        hierarchical_cluster(np.array([[-1e300], [0.0], [1e300]]), 2)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -176,6 +179,23 @@ def test_hierarchical_recovers_the_exhaustive_optimum_on_blobs(seed, k):
     got = hierarchical_cluster(pts, k)
     want = best_partition(pts, k)
     assert as_partition(got) == want
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_hierarchical_ties_follow_the_reference_rule(seed):
+    """Duplicated rows, and copies of one group shifted by equal steps,
+    make many exactly tied distances at every merge."""
+    rng = np.random.default_rng([seed, 5])
+    if seed % 2:
+        base = rng.integers(0, 3, size=(int(rng.integers(1, 5)), 2)).astype(float)
+        pts = base[rng.integers(0, len(base), size=int(rng.integers(2, 16)))]
+    else:
+        group = rng.integers(0, 4, size=(int(rng.integers(1, 4)), 2)).astype(float)
+        copies = int(rng.integers(2, 5))
+        pts = np.concatenate([group + [10.0 * c, 0.0] for c in range(copies)])
+        pts = pts[rng.permutation(len(pts))]
+    for k in range(1, len(pts) + 1):
+        assert hierarchical_cluster(pts, k) == average_linkage_reference(pts, k)
 
 
 # -- node-level wrapper -------------------------------------------------------------

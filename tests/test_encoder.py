@@ -21,7 +21,7 @@ from tcto.encoder import (
     state_forward,
 )
 from tcto.nnsub import add_grads, sgd_step, zero_grads
-from tcto.opset import N_OPERATIONS, OP_BY_NAME, apply_binary, apply_unary
+from tcto.opset import N_OPERATIONS, OP_BY_NAME, apply_unary
 from tcto.roadmap import Roadmap
 
 SMALL_DIMS = (7, 4, 3)

@@ -1,4 +1,4 @@
-"""Downstream scoring: metrics, tree models, cross validation and MI."""
+"""Downstream scoring: metrics, tree growth, cross validation and MI."""
 
 import math
 
@@ -10,15 +10,13 @@ from hypothesis import strategies as st
 from oracles import best_split_reference, plug_in_mi
 from tcto.evaluator import (
     EvalConfig,
-    ForestModel,
     _best_split,
+    _forest,
     _grow,
     evaluate,
-    fit_forest,
     macro_f1,
     mutual_information,
     one_minus_rae,
-    predict,
 )
 from tcto.tabular import CLASSIFICATION, REGRESSION, DataError
 
@@ -127,63 +125,68 @@ def test_split_search_matches_the_per_feature_reference(
 
 
 def _single_tree(X, y, task, max_depth):
-    """A one-root forest that _grow grew on every row with every feature."""
+    """One tree's predictions on X, grown by _grow on every row with every feature."""
+    n = X.shape[0]
     n_classes = int(y.max()) + 1 if task == CLASSIFICATION else 0
-    root = _grow(X, y, np.arange(X.shape[0]), 0, max_depth, None, X.shape[1], task, n_classes)
-    return ForestModel([root], task, n_classes)
+    out = np.empty(n)
+    rows = np.arange(n)
+    _grow(X, y, rows, X, rows, out, 0, max_depth, None, X.shape[1], task, n_classes)
+    return out
 
 
 def test_single_threshold_feature_is_learned_perfectly():
     x = np.linspace(-1.0, 1.0, 30)
     y = (x > 0.15).astype(float)
-    model = _single_tree(x[:, None], y, "classification", max_depth=8)
-    assert macro_f1(y, predict(model, x[:, None])) == 1.0
+    assert macro_f1(y, _single_tree(x[:, None], y, "classification", max_depth=8)) == 1.0
 
 
 def test_depth_zero_tree_predicts_majority_or_mean():
     X = np.arange(10.0)[:, None]
     y_cls = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1, 1], dtype=float)
-    tree = _single_tree(X, y_cls, "classification", max_depth=0)
-    assert np.all(predict(tree, X) == 0.0)
+    assert np.all(_single_tree(X, y_cls, "classification", max_depth=0) == 0.0)
 
     y_reg = np.arange(10.0)
-    tree = _single_tree(X, y_reg, "regression", max_depth=0)
-    assert np.all(predict(tree, X) == y_reg.mean())
+    assert np.all(_single_tree(X, y_reg, "regression", max_depth=0) == y_reg.mean())
 
 
 def test_depth_zero_forest_is_a_constant_predictor():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(20, 3))
     y = np.array([0.0] * 18 + [1.0] * 2)
-    forest = fit_forest(X, y, "classification", EvalConfig(trees=10, max_depth=0))
-    preds = predict(forest, X)
+    preds = _forest(X, y, X, "classification", EvalConfig(trees=10, max_depth=0))
     assert np.unique(preds).size == 1
     assert preds[0] == 0.0
 
 
 def test_single_tree_overfits_the_identity_map():
     x = np.linspace(0.0, 1.0, 100)
-    model = _single_tree(x[:, None], x, "regression", max_depth=8)
-    assert one_minus_rae(x, predict(model, x[:, None])) > 0.9
+    assert one_minus_rae(x, _single_tree(x[:, None], x, "regression", max_depth=8)) > 0.9
 
 
 def test_forest_regression_averages_its_trees():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(25, 2))
     y = X[:, 0] * 2.0
-    forest = fit_forest(X, y, "regression", EvalConfig(trees=3, max_depth=4))
-    per_tree = np.stack(
-        [predict(ForestModel([r], "regression", 0), X) for r in forest.roots]
-    )
-    assert np.allclose(predict(forest, X), per_tree.mean(axis=0))
+    cfg = EvalConfig(trees=3, max_depth=4)
+    per_tree = np.empty((cfg.trees, 25))
+    for t, out in enumerate(per_tree):
+        tree_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t]))
+        sample = np.sort(tree_rng.integers(0, 25, size=25))
+        _grow(X, y, sample, X, np.arange(25), out, 0, 4, tree_rng, math.isqrt(2), REGRESSION, 0)
+    assert np.unique(per_tree, axis=0).shape[0] == cfg.trees
+    assert np.array_equal(_forest(X, y, X, REGRESSION, cfg), per_tree.mean(axis=0))
 
 
-def test_fit_model_validates_task_and_inputs():
-    y = np.zeros(4)
-    with pytest.raises(DataError):
-        fit_forest(np.zeros((4, 2)), np.zeros(3), "regression", EvalConfig())
-    with pytest.raises(DataError):
-        fit_forest(np.full((4, 2), np.nan), y, "regression", EvalConfig())
+def test_held_out_rows_do_not_change_the_tree():
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(30, 4))
+    y = X[:, 0] - X[:, 1] ** 2
+    X_te = rng.normal(size=(7, 4))
+    cfg = EvalConfig(trees=4, max_depth=5, seed=3)
+    both = _forest(X, y, np.vstack([X, X_te]), REGRESSION, cfg)
+    assert np.array_equal(both[:30], _forest(X, y, X, REGRESSION, cfg))
+    assert np.array_equal(both[30:], _forest(X, y, X_te, REGRESSION, cfg))
+    assert _forest(X, y, X[:0], REGRESSION, cfg).shape == (0,)
 
 
 # -- cross validation -----------------------------------------------------------------
@@ -255,6 +258,12 @@ def test_evaluate_input_validation():
         evaluate(X, y, "ranking", EvalConfig(folds=2))
     with pytest.raises(DataError):
         evaluate(X, np.zeros(5), "regression", EvalConfig(folds=2))
+    with pytest.raises(DataError):
+        evaluate(np.full((4, 2), np.nan), y, "regression", EvalConfig(folds=2))
+    # Two folds of three rows leave one fold a single training row.
+    with pytest.raises(DataError):
+        evaluate(X[:3], y[:3], "regression", EvalConfig(folds=2))
+    assert evaluate(X[:3], y[:3], "regression", EvalConfig(folds=3)) == 0.0
 
 
 def test_eval_config_validation():

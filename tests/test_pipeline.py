@@ -3,7 +3,6 @@
 import base64
 import copy
 import json
-import math
 import re
 from pathlib import Path
 
@@ -15,10 +14,9 @@ import tcto.pipeline
 from helpers import alive_edge_matrix
 from tcto.agents import HEAD, OPERAND, OPERATION
 from tcto.encoder import squash_stats
-from tcto.evaluator import _FITTERS, EvalConfig, evaluate
+from tcto.evaluator import _MODELS, EvalConfig, evaluate
 from tcto.pipeline import (
     APPLY,
-    EXPLORE,
     ConfigError,
     Pipeline,
     PipelineError,
@@ -112,7 +110,7 @@ def test_readme_configuration_table_matches_the_program():
     keys = [key for cell, _ in rows for key in re.findall(r"`([^`]+)`", cell)]
     assert sorted(keys) == sorted(config_to_dict(RunConfig()))
     (model_row,) = [meaning for cell, meaning in rows if "`model`" in cell]
-    assert re.findall(r'`"([^"`]+)"`', model_row) == list(_FITTERS)
+    assert re.findall(r'`"([^"`]+)"`', model_row) == list(_MODELS)
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import alive_edge_matrix, grow_random_roadmap, make_regression_dataset
 from tcto.encoder import snapshot_from_roadmap
 from tcto.evaluator import mutual_information
-from tcto.opset import OP_BY_NAME, apply_binary, apply_unary
+from tcto.opset import OP_BY_NAME, apply_unary
 from tcto.roadmap import (
     Roadmap,
     RoadmapError,
@@ -344,6 +344,17 @@ def test_schema_violations_are_rejected():
 
     doc = _valid_doc()
     doc["nodes"][3]["parents"] = [0, 3]
+    _expect_schema_error(doc)
+
+    doc = _valid_doc()
+    doc["nodes"][4]["parents"] = [-2]
+    _expect_schema_error(doc)
+
+    _expect_schema_error({**_valid_doc(), "original_columns": 5})
+
+    doc = _valid_doc()
+    for node in doc["nodes"]:
+        node["alive"] = False
     _expect_schema_error(doc)
 
     doc = _valid_doc()
