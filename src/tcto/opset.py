@@ -3,15 +3,19 @@
 Thirteen unary and four binary operations over float vectors, each guarded
 against domain errors so that any finite input yields a finite output or an
 explicit rejection. Operation ids are stable and index agent outputs.
+
+Only numpy and the standard library are used. The sigmoid calls the C
+library's exp and the quantile transform computes exact average ranks, so
+both give the bits of the reference implementations that
+tests/test_opset.py compares them with.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import rankdata
 
 from .tabular import scaled_stat
 
@@ -64,6 +68,26 @@ def _signed_eps(v: np.ndarray) -> np.ndarray:
     return np.where(v >= 0.0, EPSILON, -EPSILON)
 
 
+def _sigmoid(t: float) -> float:
+    # The libm exp that expit calls too; np.exp can differ in the last bit.
+    try:
+        return 1.0 / (1.0 + math.exp(-t))
+    except OverflowError:  # exp(-t) is past the float maximum
+        return 0.0
+
+
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """Zero-based ranks, each run of tied values sharing the mean of its ranks."""
+    order = np.argsort(v, kind="stable")
+    s = v[order]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    counts = np.diff(starts, append=v.shape[0])
+    ranks = np.empty(v.shape[0])
+    # every value is a multiple of 0.5 below 2**52, so exact
+    ranks[order] = np.repeat(starts + (counts - 1) / 2.0, counts)
+    return ranks
+
+
 def unary_values(op: Operation, v) -> np.ndarray:
     """Raw unary computation without the rejection filter."""
     v = np.asarray(v, dtype=float)
@@ -86,7 +110,7 @@ def unary_values(op: Operation, v) -> np.ndarray:
         if name == "tanh":
             return np.tanh(v)
         if name == "sigmoid":
-            return expit(v)
+            return np.array([_sigmoid(t) for t in v.tolist()])
         if name == "reciprocal":
             return 1.0 / (v + _signed_eps(v))
         if name == "stand_scaler":
@@ -102,7 +126,7 @@ def unary_values(op: Operation, v) -> np.ndarray:
             n = v.shape[0]
             if n < 2:
                 return np.zeros_like(v)
-            return (rankdata(v, method="average") - 1.0) / (n - 1.0)
+            return _average_ranks(v) / (n - 1.0)
     raise ValueError(f"{name!r} is not a unary operation")
 
 

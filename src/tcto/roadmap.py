@@ -10,6 +10,7 @@ signatures stay stable across pruning and backtracking.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,32 @@ def node_signature(op: Operation | None, parents, origin_name: str | None = None
     if op.commutative:
         ids = sorted(ids)
     return f"{op.name}({','.join(str(i) for i in ids)})"
+
+
+def _node_fields(obj) -> tuple:
+    """(id, op name, parents, depth, alive, stats) of one node as json.loads
+    read it, each checked for its JSON type, never coerced: a bool is not an
+    integer, and a stat is a finite number."""
+    nid, op_name, parents = obj["id"], obj["op"], obj["parents"]
+    depth, alive, stats = obj["depth"], obj["alive"], obj["stats"]
+    if type(alive) is not bool:
+        raise TypeError(f"alive must be true or false, got {alive!r}")
+    if type(op_name) is not str:
+        raise TypeError(f"op must be a string, got {op_name!r}")
+    if type(parents) is not list or any(type(p) is not int for p in parents):
+        raise TypeError(f"parents must be a list of integers, got {parents!r}")
+    if type(nid) is not int:
+        raise TypeError(f"id must be an integer, got {nid!r}")
+    if type(depth) is not int:
+        raise TypeError(f"depth must be an integer, got {depth!r}")
+    if type(stats) is not list or not all(
+        type(x) is int or type(x) is float and math.isfinite(x) for x in stats
+    ):
+        raise TypeError(f"stats must be a list of finite numbers, got {stats!r}")
+    stats = np.array(stats, dtype=float)  # OverflowError past the float range
+    if stats.shape != (STAT_DIM,):
+        raise ValueError(f"stat vector must have {STAT_DIM} entries, got {stats.size}")
+    return nid, op_name, tuple(parents), depth, alive, stats
 
 
 class Roadmap:
@@ -297,20 +324,14 @@ class Roadmap:
         if not isinstance(raw_nodes, list) or len(raw_nodes) < len(columns):
             raise SchemaError("node list shorter than the original column list")
 
-        r = cls(columns, lineage=str(lineage))
+        if not isinstance(lineage, str):
+            raise SchemaError(f"lineage must be a string, got {lineage!r}")
+
+        r = cls(columns, lineage=lineage)
         for k, obj in enumerate(raw_nodes):
             try:
-                nid = obj["id"]
-                op_name = obj["op"]
-                parents = tuple(int(p) for p in obj["parents"])
-                depth = int(obj["depth"])
-                alive = bool(obj["alive"])
-                stats = np.array([float(x) for x in obj["stats"]])
-                if stats.shape != (STAT_DIM,):
-                    raise SchemaError(
-                        f"stat vector must have {STAT_DIM} entries, got {stats.size}"
-                    )
-            except (KeyError, TypeError, ValueError) as exc:
+                nid, op_name, parents, depth, alive, stats = _node_fields(obj)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise SchemaError(f"bad node record at position {k}: {exc}") from exc
             if nid != k:
                 raise SchemaError(f"node ids must be 0..N-1 in order, got {nid} at {k}")

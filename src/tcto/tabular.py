@@ -275,5 +275,13 @@ def stratified_split_indices(d: Dataset, test_fraction: float, seed: int):
 
 
 def stratified_split(d: Dataset, test_fraction: float, seed: int):
+    """(train, test) datasets of stratified_split_indices; DataError when
+    either part has fewer than the 2 rows a dataset needs."""
     train_idx, test_idx = stratified_split_indices(d, test_fraction, seed)
+    for part, idx in (("training", train_idx), ("test", test_idx)):
+        if idx.size < 2:
+            raise DataError(
+                f"the {part} split of the {d.n_rows}-row dataset at test_fraction "
+                f"{test_fraction} has {idx.size} row(s); each split needs at least 2"
+            )
     return d.subset(train_idx), d.subset(test_idx)

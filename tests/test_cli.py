@@ -395,6 +395,21 @@ def test_train_on_a_column_at_the_float_limit_exits_zero(tmp_path, fast_config_p
     capsys.readouterr()
 
 
+def test_train_with_too_few_rows_for_the_split_names_the_split(
+    tmp_path, fast_config_path, capsys
+):
+    csv_path = tmp_path / "tiny.csv"
+    _write_dataset(csv_path, n=8)
+    argv = ["train", "--data", str(csv_path), "--task", "reg", "--label", "label"]
+    argv += ["--out", str(tmp_path / "run"), "--config", fast_config_path]
+    with pytest.warns(UserWarning, match="placing them all in the training split"):
+        code = main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "tcto: the test split of the 8-row dataset" in err
+    assert "has 0 row(s); each split needs at least 2" in err
+
+
 def _overflowing_label_dataset(names, n=60, seed=4):
     """Regression labels spread over the float range, so the score is NaN."""
     rng = np.random.default_rng(seed)
@@ -548,10 +563,21 @@ def _with_negative_parent(doc):
             "best_roadmap.json",
             lambda doc: {**doc, "nodes": [{**n, "alive": False} for n in doc["nodes"]]},
         ),
+        (
+            "best_roadmap.json",
+            lambda doc: {**doc, "nodes": [{**n, "alive": "false"} for n in doc["nodes"]]},
+        ),
         ("config.json", lambda doc: []),
         ("config.json", lambda doc: {**doc, "task": ["reg"]}),
     ],
-    ids=["negative-parent", "columns-not-a-list", "all-dead", "config-a-list", "task-a-list"],
+    ids=[
+        "negative-parent",
+        "columns-not-a-list",
+        "all-dead",
+        "alive-a-string",
+        "config-a-list",
+        "task-a-list",
+    ],
 )
 def test_malformed_run_artifacts_exit_two(run_dir, capsys, artifact, mutate):
     tmp_path, csv_path, out = run_dir

@@ -1,6 +1,9 @@
-"""Every name that the package, the tests and the scripts import is used."""
+"""Every name that the package, the tests and the scripts import is used,
+and the package starts on numpy alone."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,3 +36,19 @@ def test_no_module_imports_a_name_it_never_uses():
         if (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def test_the_cli_imports_no_scipy():
+    # scipy is only the tests' reference; loading it took most of a start-up
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import tcto.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

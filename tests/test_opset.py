@@ -1,12 +1,15 @@
 """The seventeen feature-construction operations and their rejection rule."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
+from scipy.stats import rankdata
 
 from tcto.opset import (
     BINARY_OPERATIONS,
@@ -212,3 +215,47 @@ def test_commutative_operations_commute(a, b):
     for name in ("add", "multiply"):
         op = OP_BY_NAME[name]
         assert np.array_equal(binary_values(op, a, b), binary_values(op, b, a))
+
+
+# -- bit-exact against scipy ----------------------------------------------------
+
+# exp(-t) overflows just below t = -709.78 and reaches the subnormals, then
+# zero, near t = 745
+_EDGES = [0.0, -0.0, 709.78, -709.78, 709.79, -709.79, 745.0, -745.0, 746.0, -746.0]
+_EDGES += [math.log(sys.float_info.max) * s for s in (1.0, -1.0)]
+_EDGES += [1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324]
+_EDGES += [math.nextafter(e, d) for e in _EDGES for d in (-math.inf, math.inf)]
+
+edge_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-800.0, max_value=800.0),
+    st.sampled_from(_EDGES),
+)
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+@given(st.lists(edge_floats, min_size=1, max_size=40).map(np.array))
+@example(np.array(_EDGES))
+@settings(max_examples=300)
+def test_sigmoid_matches_expit_bit_for_bit(v):
+    assert _same_bits(unary_values(OP_BY_NAME["sigmoid"], v), expit(v))
+
+
+# a pool of at most four values, so most columns are full of ties
+tie_heavy = st.lists(edge_floats, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=40)
+)
+columns = st.one_of(st.lists(edge_floats, min_size=2, max_size=40), tie_heavy).map(np.array)
+
+
+@given(columns)
+@example(np.array([0.0, -0.0]))
+@example(np.array([1e300, -1e300]))
+@example(np.array([-0.0, 0.0, 0.0, 5e-324, -0.0]))
+@settings(max_examples=300)
+def test_quantile_transform_matches_rankdata_bit_for_bit(v):
+    want = (rankdata(v, method="average") - 1.0) / (v.size - 1.0)
+    assert _same_bits(unary_values(OP_BY_NAME["quantile_transform"], v), want)

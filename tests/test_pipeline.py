@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tcto.encoder
 import tcto.pipeline
@@ -26,7 +28,7 @@ from tcto.pipeline import (
     record_to_json,
 )
 from tcto.roadmap import Roadmap
-from tcto.tabular import Dataset
+from tcto.tabular import DataError, Dataset
 
 FAST_EVAL = EvalConfig(folds=2, trees=2, max_depth=3)
 
@@ -643,3 +645,51 @@ def test_a_corrupt_checkpoint_is_rejected_and_changes_no_array(checkpointed, par
     assert not target.trained
     for was, now in zip(before, _live_arrays(target), strict=True):
         assert was.tobytes() == now.tobytes()
+
+
+# -- whole-pipeline properties ------------------------------------------------------
+
+
+@st.composite
+def _awkward_runs(draw):
+    """A 5-12 row dataset with 1-3 features, some constant, duplicate or
+    scaled by 1e300, and a config for either model. Both splits need 4 rows
+    for 2-fold CV, so only the larger ones train."""
+    n = draw(st.integers(5, 12))
+    p = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    cols = [rng.normal(size=n) for _ in range(p)]
+    shape = draw(st.sampled_from(["plain", "constant", "duplicate"]))
+    if shape == "constant":
+        cols[0] = np.full(n, 3.0)
+    elif shape == "duplicate":
+        cols[-1] = cols[0].copy()
+    scale = draw(st.sampled_from([1.0, 1e300]))
+    if draw(st.booleans()):
+        task, labels = "regression", rng.normal(size=n) * scale
+    else:
+        # the minority class has only one or two rows
+        task, labels = "classification", np.zeros(n)
+        labels[: draw(st.integers(1, 2))] = 1.0
+        labels = rng.permutation(labels)
+    d = Dataset(tuple(f"f{i}" for i in range(p)), tuple(c * scale for c in cols), labels, task)
+    model = draw(st.sampled_from(sorted(_MODELS)))
+    cfg = _tiny_cfg(
+        test_fraction=draw(st.sampled_from([0.2, 0.5])),
+        eval=EvalConfig(folds=2, trees=2, max_depth=3, model=model),
+    )
+    return d, cfg
+
+
+@given(_awkward_runs())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@pytest.mark.filterwarnings("ignore:stratification group")
+def test_awkward_data_trains_and_applies_or_is_refused(run):
+    d, cfg = run
+    try:
+        pipe = Pipeline(d, cfg)
+        reports = [pipe.train(), pipe.apply_policy()]
+    except (DataError, PipelineError):
+        return
+    for report in reports:
+        assert np.isfinite([report.best_score, report.test_score]).all()

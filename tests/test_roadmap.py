@@ -387,6 +387,34 @@ def test_schema_violations_are_rejected():
     del doc["lineage"]
     _expect_schema_error(doc)
 
+    # each field has one JSON type, and no other value is coerced into it
+    _expect_schema_error({**_valid_doc(), "lineage": [1, 2]})
+    for k, field, value in (
+        (3, "alive", "false"),
+        (3, "alive", 0),
+        (1, "id", True),
+        (3, "id", 3.0),
+        (3, "depth", "1"),
+        (3, "depth", 1.0),
+        (4, "parents", [0.9]),
+        (4, "parents", ["0"]),
+        (4, "parents", [False]),
+        (4, "parents", 0),
+        (3, "op", ["add"]),
+        (3, "stats", [float("nan")] + [0.0] * 6),
+        (3, "stats", [float("inf")] + [0.0] * 6),
+        (3, "stats", [10**400] + [0.0] * 6),
+        (3, "stats", [True] + [0.0] * 6),
+        (3, "stats", ["1.0"] + [0.0] * 6),
+        (3, "stats", 1.0),
+    ):
+        doc = _valid_doc()
+        doc["nodes"][k][field] = value
+        _expect_schema_error(doc)
+    doc = _valid_doc()
+    doc["nodes"][3]["stats"] = [1, 2, 3, 4, 5, 6, 7]
+    assert Roadmap.import_json(json.dumps(doc)).nodes[3].stats.tolist() == [1, 2, 3, 4, 5, 6, 7]
+
     with pytest.raises(SchemaError):
         Roadmap.import_json(b"{not json")
 
