@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import encoder as enc
-from .nnsub import DenseNet, add_grads, backprop, clone, copy_params, forward, forward_cache
-from .nnsub import sgd_step, zero_grads
+from .nnsub import DenseNet, GradBuffers, backprop, clone, copy_params, forward, forward_cache
 
 HEAD = "head"
 OPERATION = "operation"
@@ -33,6 +32,9 @@ class Transition:
     decision point; a terminal transition leaves it empty. state_ctx
     optionally carries (GraphSnapshot, StateSpec) so training can recompute
     the state through the current encoder and push gradients into it.
+    max_target_q memoises the target network's best Q-value over
+    next_candidates: train_step fills it on first use, and sync_target,
+    the only step that changes the target network, clears it.
     """
 
     state_input: np.ndarray
@@ -40,6 +42,7 @@ class Transition:
     reward: float
     next_candidates: list
     state_ctx: tuple | None = None
+    max_target_q: float | None = None
 
 
 @dataclass
@@ -62,8 +65,13 @@ def make_agent(role: str, input_dim: int, n_outputs: int, hidden: int, rng) -> A
 
 
 def epsilon_greedy(q_values, epsilon: float, rng: np.random.Generator) -> int:
-    """Argmax with probability 1-epsilon (ties to the first maximum)."""
+    """Argmax with probability 1-epsilon (ties to the first maximum).
+
+    Raises FloatingPointError, before any draw, when a Q-value is not finite.
+    """
     q_values = np.asarray(q_values, dtype=float)
+    if not np.isfinite(q_values).all():
+        raise FloatingPointError("a Q-value is not finite")
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(q_values.shape[0]))
     return int(np.argmax(q_values))
@@ -114,16 +122,19 @@ def train_step(
     When an encoder is given, transitions carrying state_ctx are re-encoded
     through it and the loss gradient also updates the encoder parameters;
     transitions without state_ctx add nothing to the encoder's gradient.
+    Each transition's gradients, scaled by 1/batch_size, go straight into
+    the step's GradBuffers, so SGD touches only the arrays the batch
+    reached. A transition's target max-Q is computed once per target
+    network and kept in max_target_q until the next sync_target.
     """
     if len(agent.buffer) < batch_size:
         return None
     picks = rng.choice(len(agent.buffer), size=batch_size, replace=False)
     batch = [agent.buffer[int(i)] for i in picks]
 
-    params = agent.prediction.params
-    if encoder is not None:
-        params = params + encoder.params
-    acc = zero_grads(params)
+    scale = 1.0 / batch_size
+    net_grads = GradBuffers(agent.prediction.params, scale)
+    enc_grads = None if encoder is None else GradBuffers(encoder.params, scale)
     total_loss = 0.0
     for t in batch:
         state_cache = None
@@ -136,19 +147,31 @@ def train_step(
         q = float(out[a])
         y = t.reward
         if t.next_candidates:
-            y += gamma * _max_target_q(agent, t.next_candidates)
+            if t.max_target_q is None:
+                t.max_target_q = _max_target_q(agent, t.next_candidates)
+            y += gamma * t.max_target_q
         diff = q - y
         total_loss += diff * diff
         dy = np.zeros_like(out)
         dy[a] = 2.0 * diff
         grads, dx = backprop(agent.prediction, cache, dy)
+        for i, g in enumerate(grads):
+            net_grads.add(i, g)
         if state_cache is not None:
-            grads = grads + enc.state_backward(encoder, state_cache, dx)
-        add_grads(acc[: len(grads)], grads, 1.0 / batch_size)
+            enc.state_backward(encoder, state_cache, dx, enc_grads)
 
-    sgd_step(params, acc, lr)
+    net_grads.sgd_step(lr)
+    if enc_grads is not None:
+        enc_grads.sgd_step(lr)
     return total_loss / batch_size
+
+
+def forget_target_q(agent: Agent) -> None:
+    """Clear the max_target_q memo of every buffered transition."""
+    for t in agent.buffer:
+        t.max_target_q = None
 
 
 def sync_target(agent: Agent) -> None:
     copy_params(agent.prediction, agent.target)
+    forget_target_q(agent)

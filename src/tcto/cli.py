@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from .evaluator import evaluate
+from .evaluator import check_splits_for_cv, evaluate
 from .pipeline import (
     APPLY,
     EXPLORE,
@@ -199,6 +199,7 @@ def _cmd_apply(args) -> int:
 
     dataset = load_csv(args.data, task, label)
     train_d, test_d = stratified_split(dataset, cfg.test_fraction, cfg.seed)
+    check_splits_for_cv(dataset, train_d, test_d, cfg.eval.folds)
     train_score = evaluate(
         roadmap.materialize(train_d), train_d.labels, train_d.task, cfg.eval
     )

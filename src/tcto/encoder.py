@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .nnsub import glorot_uniform
+from .nnsub import GradBuffers, glorot_uniform
 from .opset import N_OPERATIONS
 from .tabular import STAT_DIM, read_only
 
@@ -154,27 +154,34 @@ def rgcn_forward(graph: GraphSnapshot, params: RGCNParams):
     return h, cache
 
 
-def rgcn_backward(params: RGCNParams, cache, d_out: np.ndarray) -> list:
-    """Gradients for a scalar loss, given d(loss)/d(embeddings); aligned
-    with params.params."""
+def rgcn_backward(params: RGCNParams, cache, d_out: np.ndarray, grads: GradBuffers | None = None):
+    """Weight gradients of a scalar loss, given d(loss)/d(embeddings).
+
+    With grads, a GradBuffers whose params begin with params.params, they
+    are added into it: the self-loop weights and the relations present in
+    the snapshot, nothing else. Without, the gradients are returned as a
+    list aligned with params.params.
+    """
+    out = GradBuffers(params.params) if grads is None else grads
     graph, inputs, msgs_all, pre = cache
     p, rows_by_rel = graph.message_operator, graph.rows_by_relation
     width = params.n_relations + 1
     self_idx = params.n_relations
-    grads = [np.zeros_like(w) for w in params.params]
     last = len(params.layers) - 1
     da = np.asarray(d_out, dtype=float)
     for l in range(last, -1, -1):
         dz = da if l == last else da * (pre[l] > 0.0)
         layer = params.layers[l]
         h, msgs = inputs[l], msgs_all[l]
-        grads[l * width + self_idx] += h.T @ dz
-        dmsgs = np.zeros_like(msgs)
+        out.add(l * width + self_idx, h.T @ dz)
         for rel, rows in rows_by_rel:
-            grads[l * width + rel] += msgs[rows].T @ dz[rows]
-            dmsgs[rows] = dz[rows] @ layer[rel].T
-        da = dz @ layer[self_idx].T + p.T @ dmsgs
-    return grads
+            out.add(l * width + rel, msgs[rows].T @ dz[rows])
+        if l > 0:
+            dmsgs = np.zeros_like(msgs)
+            for rel, rows in rows_by_rel:
+                dmsgs[rows] = dz[rows] @ layer[rel].T
+            da = dz @ layer[self_idx].T + p.T @ dmsgs
+    return out.dense() if grads is None else None
 
 
 # -- composite agent states ----------------------------------------------
@@ -240,9 +247,13 @@ def state_forward(encoder: Encoder, graph: GraphSnapshot, spec: StateSpec):
     return np.concatenate(parts), cache
 
 
-def state_backward(encoder: Encoder, cache, dx: np.ndarray) -> list:
-    """Split dx back onto the pooled groups; returns grads aligned with
-    encoder.params."""
+def state_backward(encoder: Encoder, cache, dx: np.ndarray, grads: GradBuffers | None = None):
+    """Split dx back onto the pooled groups and the op_table row.
+
+    With grads, a GradBuffers over encoder.params, the gradients are added
+    into it; without, they are returned as a list aligned with
+    encoder.params.
+    """
     graph, spec, rcache, h_shape = cache
     m, d = h_shape
     dh = np.zeros((m, d))
@@ -251,10 +262,14 @@ def state_backward(encoder: Encoder, cache, dx: np.ndarray) -> list:
         seg = dx[offset : offset + d]
         dh[list(g)] += seg / len(g)
         offset += d
-    op_grads = np.zeros_like(encoder.op_table)
+    op_seg = None
     if spec.op_id is not None:
-        op_grads[spec.op_id] = dx[offset : offset + d]
+        op_seg = dx[offset : offset + d]
         offset += d
     if offset != dx.shape[0]:
         raise ValueError("dx length does not match the state layout")
-    return rgcn_backward(encoder.rgcn, rcache, dh) + [op_grads]
+    out = GradBuffers(encoder.params) if grads is None else grads
+    rgcn_backward(encoder.rgcn, rcache, dh, out)
+    if op_seg is not None:
+        out.add(len(encoder.rgcn.params), op_seg, rows=spec.op_id)
+    return out.dense() if grads is None else None

@@ -23,7 +23,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tabular import CLASSIFICATION, REGRESSION, TASKS, DataError, equal_width_bins, scaled_stat
+from .tabular import (
+    CLASSIFICATION,
+    REGRESSION,
+    TASKS,
+    DataError,
+    Dataset,
+    equal_width_bins,
+    scaled_stat,
+)
 
 _MIN_GAIN = 1e-12
 
@@ -209,6 +217,22 @@ def one_minus_rae(y_true, y_pred) -> float:
     return 1.0 - float(np.abs(t - p).sum()) / denom
 
 
+def _too_few_for_cv(n: int, folds: int) -> bool:
+    # -(-n // folds) rows make the largest fold; every fold trains on 2 or more.
+    return n < folds or n - -(-n // folds) < 2
+
+
+def check_splits_for_cv(dataset: Dataset, train: Dataset, test: Dataset, folds: int) -> None:
+    """DataError naming the first of dataset's training and test splits
+    that has too few rows for folds-fold cross validation."""
+    for part, d in (("training", train), ("test", test)):
+        if _too_few_for_cv(d.n_rows, folds):
+            raise DataError(
+                f"the {part} split of the {dataset.n_rows}-row dataset has {d.n_rows} "
+                f"row(s), too few for {folds}-fold CV; use fewer folds or more rows"
+            )
+
+
 def evaluate(X, y, task: str, cfg: EvalConfig) -> float:
     """Pooled out-of-fold score under seeded k-fold cross validation.
 
@@ -229,8 +253,7 @@ def evaluate(X, y, task: str, cfg: EvalConfig) -> float:
     if task not in TASKS:
         raise DataError(f"unknown task {task!r}")
     n = X.shape[0]
-    # -(-n // folds) rows make the largest fold; every fold trains on 2 or more.
-    if n < cfg.folds or n - -(-n // cfg.folds) < 2:
+    if _too_few_for_cv(n, cfg.folds):
         raise DataError(f"{n} rows are too few for {cfg.folds}-fold CV")
     perm = np.random.default_rng(np.random.SeedSequence([cfg.seed, 977])).permutation(n)
     fold_of = np.empty(n, dtype=int)

@@ -4,10 +4,11 @@ Everything the value networks need and nothing more: forward, gradients
 of a scalar loss, SGD updates, and parameter copies between twin networks.
 
 Every trained object (a DenseNet here, the graph encoder in encoder.py)
-exposes its live arrays as one flat, ordered ``params`` list, and every
-gradient is a list aligned with it position by position. zero_grads,
-add_grads and sgd_step work on such lists, so one set of helpers serves
-the value networks and the encoder alike.
+exposes its live arrays as one flat, ordered ``params`` list. An SGD step
+adds each example's gradients into a GradBuffers over such a list, which
+keeps a buffer only for the arrays that received a gradient and updates
+only those, so one set of helpers serves the value networks and the
+encoder alike.
 """
 
 from __future__ import annotations
@@ -95,18 +96,41 @@ def backprop(net: DenseNet, cache, dy):
     return grads, (da[0] if squeeze else da)
 
 
-def zero_grads(params: list) -> list:
-    return [np.zeros_like(p) for p in params]
+class GradBuffers:
+    """One SGD step's gradient buffers for a params list.
 
+    add() adds scale * g into the buffer of params[i], which starts at
+    +0.0 on its first add; an array that gets no gradient has no buffer,
+    and sgd_step() leaves it alone. Skipping it changes no bit: its update
+    would subtract lr * +0.0, and a sum that starts at +0.0 never becomes
+    -0.0, so adding a zero gradient to a buffer never changes it either.
+    """
 
-def add_grads(acc: list, grads: list, scale: float = 1.0) -> None:
-    for a, g in zip(acc, grads, strict=True):
-        a += scale * g
+    def __init__(self, params: list, scale: float = 1.0):
+        self.params = params
+        self.scale = scale
+        self.buffers: dict = {}
 
+    def add(self, i: int, g, rows=None) -> None:
+        """buffer[i] += scale * g, or buffer[i][rows] += scale * g."""
+        buf = self.buffers.get(i)
+        if buf is None:
+            buf = self.buffers[i] = np.zeros_like(self.params[i])
+        if rows is None:
+            buf += self.scale * g
+        else:
+            buf[rows] += self.scale * g
 
-def sgd_step(params: list, grads: list, lr: float) -> None:
-    for p, g in zip(params, grads, strict=True):
-        p -= lr * g
+    def dense(self) -> list:
+        """Every gradient aligned with params, zeros where none was added."""
+        return [
+            self.buffers[i] if i in self.buffers else np.zeros_like(p)
+            for i, p in enumerate(self.params)
+        ]
+
+    def sgd_step(self, lr: float) -> None:
+        for i, g in self.buffers.items():
+            self.params[i] -= lr * g
 
 
 def copy_params(src: DenseNet, dst: DenseNet) -> None:

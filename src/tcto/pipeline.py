@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from . import agents as ag
 from . import encoder as enc
 from .clustering import cluster_nodes
-from .evaluator import EvalConfig, evaluate
+from .evaluator import EvalConfig, check_splits_for_cv, evaluate
 from .opset import (
     N_OPERATIONS,
     OPERATIONS,
@@ -269,6 +270,7 @@ class Pipeline:
         self.train_data, self.test_data = stratified_split(
             dataset, cfg.test_fraction, cfg.seed
         )
+        check_splits_for_cv(dataset, self.train_data, self.test_data, cfg.eval.folds)
         ss = np.random.SeedSequence([cfg.seed, 7])
         seed_params, seed_policy, seed_replay = ss.spawn(3)
         rng_params = np.random.default_rng(seed_params)
@@ -367,6 +369,8 @@ class Pipeline:
             raise PipelineError(f"checkpoint does not fit this pipeline: {exc}") from exc
         for live, stored in pairs:
             live[...] = stored
+        for a in self.agents.values():
+            ag.forget_target_q(a)
         self.trained = True
 
     # -- internals ---------------------------------------------------------
@@ -451,22 +455,33 @@ class Pipeline:
     def _pick_index(self, agent_role: str, inputs: list, epsilon: float) -> int:
         if self.cfg.random_policy:
             return int(self.rng_policy.integers(len(inputs)))
-        return ag.select_candidate(
-            self.agents[agent_role], inputs, epsilon, self.rng_policy
-        )
+        with self._finite_q(agent_role):
+            return ag.select_candidate(
+                self.agents[agent_role], inputs, epsilon, self.rng_policy
+            )
 
     def _pick_operation(self, state_input: np.ndarray, epsilon: float) -> int:
         if self.cfg.random_policy:
             return int(self.rng_policy.integers(N_OPERATIONS))
-        q = ag.operation_q_values(self.agents[ag.OPERATION], state_input)
-        return ag.epsilon_greedy(q, epsilon, self.rng_policy)
+        with self._finite_q(ag.OPERATION):
+            q = ag.operation_q_values(self.agents[ag.OPERATION], state_input)
+            return ag.epsilon_greedy(q, epsilon, self.rng_policy)
 
     def _fallback_unary(self, state_input: np.ndarray) -> int:
         if self.cfg.random_policy:
             return int(self.rng_policy.integers(len(UNARY_OPERATIONS)))
-        q = ag.operation_q_values(self.agents[ag.OPERATION], state_input)
         unary_ids = [op.id for op in UNARY_OPERATIONS]
-        return unary_ids[int(np.argmax(q[unary_ids]))]
+        with self._finite_q(ag.OPERATION):
+            q = ag.operation_q_values(self.agents[ag.OPERATION], state_input)
+            return unary_ids[ag.epsilon_greedy(q[unary_ids], 0.0, self.rng_policy)]
+
+    @contextmanager
+    def _finite_q(self, role: str):
+        """Report a decision's refusal of a non-finite Q-value as _learn does."""
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise self._diverged(f"the {role} agent's Q-values") from exc
 
     def _step(self, ep: _Episode, e: int, s: int, phase: str, best_score: float, timings):
         learning = phase == EXPLORE and not self.cfg.random_policy
@@ -672,10 +687,13 @@ class Pipeline:
 
     def _refuse_non_finite(self, what: str, values: list) -> None:
         if not all(np.isfinite(v).all() for v in values):
-            raise PipelineError(
-                f"training diverged: {what} are not all finite; "
-                f"try a learning_rate below {self.cfg.learning_rate}"
-            )
+            raise self._diverged(what)
+
+    def _diverged(self, what: str) -> PipelineError:
+        return PipelineError(
+            f"training diverged: {what} are not all finite; "
+            f"try a learning_rate below {self.cfg.learning_rate}"
+        )
 
     def _complete_pending(self, ep: _Episode, role: str, next_candidates: list) -> None:
         """Push the role's parked transition, if any, with its next candidates."""

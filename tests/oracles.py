@@ -2,13 +2,19 @@
 
 Everything here is written independently of the code under test: plain
 Python loops, dict counting and math-module arithmetic wherever possible,
-so that a bug in the package cannot hide inside its own oracle.
+so that a bug in the package cannot hide inside its own oracle. The one
+exception is train_step_reference, which reuses the package's forward
+passes and backprop and checks the gradient accumulation, the encoder's
+backward pass and the target max-Q memo of agents.train_step.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from tcto import encoder as enc
+from tcto.nnsub import backprop, forward, forward_cache
 
 
 def stats7(values):
@@ -311,3 +317,105 @@ def best_split_reference(X, y, idx, feats, task, n_classes, min_gain=1e-12):
             cut = cuts[j]
             best = (int(f), float((xs_s[cut] + xs_s[cut + 1]) / 2.0))
     return best
+
+
+def _zero_grads(params):
+    return [np.zeros_like(p) for p in params]
+
+
+def _add_grads(acc, grads, scale=1.0):
+    for a, g in zip(acc, grads, strict=True):
+        a += scale * g
+
+
+def _sgd_step(params, grads, lr):
+    for p, g in zip(params, grads, strict=True):
+        p -= lr * g
+
+
+def _max_target_q_reference(agent, candidates):
+    best = -np.inf
+    for x in candidates:
+        q = forward(agent.target, x)
+        best = max(best, float(np.max(q)))
+    return best
+
+
+def _rgcn_backward_reference(params, cache, d_out):
+    graph, inputs, msgs_all, pre = cache
+    p, rows_by_rel = graph.message_operator, graph.rows_by_relation
+    width = params.n_relations + 1
+    self_idx = params.n_relations
+    grads = [np.zeros_like(w) for w in params.params]
+    last = len(params.layers) - 1
+    da = np.asarray(d_out, dtype=float)
+    for l in range(last, -1, -1):
+        dz = da if l == last else da * (pre[l] > 0.0)
+        layer = params.layers[l]
+        h, msgs = inputs[l], msgs_all[l]
+        grads[l * width + self_idx] += h.T @ dz
+        dmsgs = np.zeros_like(msgs)
+        for rel, rows in rows_by_rel:
+            grads[l * width + rel] += msgs[rows].T @ dz[rows]
+            dmsgs[rows] = dz[rows] @ layer[rel].T
+        da = dz @ layer[self_idx].T + p.T @ dmsgs
+    return grads
+
+
+def _state_backward_reference(encoder, cache, dx):
+    graph, spec, rcache, h_shape = cache
+    m, d = h_shape
+    dh = np.zeros((m, d))
+    offset = 0
+    for g in spec.groups:
+        seg = dx[offset : offset + d]
+        dh[list(g)] += seg / len(g)
+        offset += d
+    op_grads = np.zeros_like(encoder.op_table)
+    if spec.op_id is not None:
+        op_grads[spec.op_id] = dx[offset : offset + d]
+        offset += d
+    if offset != dx.shape[0]:
+        raise ValueError("dx length does not match the state layout")
+    return _rgcn_backward_reference(encoder.rgcn, rcache, dh) + [op_grads]
+
+
+def train_step_reference(agent, rng, *, gamma, lr, batch_size, encoder=None):
+    """agents.train_step in its dense form: every transition allocates a
+    zero gradient for every parameter, the encoder's backward pass returns
+    its full list (with the layer-0 input gradient nobody reads), all of it
+    is added into a full accumulator, SGD updates every array, and each
+    target max-Q is recomputed from the target net."""
+    if len(agent.buffer) < batch_size:
+        return None
+    picks = rng.choice(len(agent.buffer), size=batch_size, replace=False)
+    batch = [agent.buffer[int(i)] for i in picks]
+
+    params = agent.prediction.params
+    if encoder is not None:
+        params = params + encoder.params
+    acc = _zero_grads(params)
+    total_loss = 0.0
+    for t in batch:
+        state_cache = None
+        if encoder is not None and t.state_ctx is not None:
+            x, state_cache = enc.state_forward(encoder, *t.state_ctx)
+        else:
+            x = t.state_input
+        out, cache = forward_cache(agent.prediction, x)
+        a = int(t.action) if agent.output_dim > 1 else 0
+        q = float(out[a])
+        y = t.reward
+        if t.next_candidates:
+            y += gamma * _max_target_q_reference(agent, t.next_candidates)
+        diff = q - y
+        total_loss += diff * diff
+        dy = np.zeros_like(out)
+        dy[a] = 2.0 * diff
+        grads, dx = backprop(agent.prediction, cache, dy)
+        if state_cache is not None:
+            grads = grads + _state_backward_reference(encoder, state_cache, dx)
+        _add_grads(acc[: len(grads)], grads, 1.0 / batch_size)
+
+    _sgd_step(params, acc, lr)
+    return total_loss / batch_size

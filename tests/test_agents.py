@@ -1,10 +1,12 @@
 """Value agents: selection policy, replay buffer and TD training."""
 
+import copy
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from oracles import random_graph
+from oracles import random_graph, train_step_reference
 from tcto.agents import (
     BUFFER_CAPACITY,
     HEAD,
@@ -370,3 +372,90 @@ def test_context_free_transitions_leave_the_encoder_bit_identical():
     assert any(
         not np.array_equal(b, p) for b, p in zip(pred_before, agent.prediction.params)
     )
+
+
+# -- sparse gradient buffers and the target max-Q memo ----------------------------------------
+
+
+def _random_transition(rng, role, state_dim):
+    """A transition for role over a random graph that uses at most 3 of the
+    encoder's 17 relations, or at most 5 of all 17, with or without a
+    state_ctx and with or without next candidates."""
+    n_rel = 3 if rng.random() < 0.5 else N_OPERATIONS
+    stats, relations, parents = random_graph(rng, max_nodes=6, n_relations=n_rel)
+    graph = GraphSnapshot(stats=stats, relations=relations, parents=parents)
+    m = graph.n_nodes
+    n_groups = {HEAD: 2, OPERATION: 2, OPERAND: 3}[role]
+    groups = tuple(
+        tuple(sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist()))
+        for _ in range(n_groups)
+    )
+    op_id = int(rng.integers(N_OPERATIONS)) if role == OPERAND else None
+    ctx = (graph, StateSpec(groups, op_id)) if rng.random() < 0.8 else None
+    n_next = 0 if rng.random() < 0.3 else int(rng.integers(1, 4))
+    return Transition(
+        state_input=rng.normal(size=state_dim),
+        action=int(rng.integers(N_OPERATIONS)) if role == OPERATION else 0,
+        reward=float(rng.normal()),
+        next_candidates=[rng.normal(size=state_dim) for _ in range(n_next)],
+        state_ctx=ctx,
+    )
+
+
+def _bits(arrays):
+    return [a.view(np.int64).copy() for a in arrays]
+
+
+@pytest.mark.parametrize("with_encoder", [True, False])
+@pytest.mark.parametrize("role", [HEAD, OPERATION, OPERAND])
+def test_train_step_matches_the_dense_reference_bit_for_bit(role, with_encoder):
+    rng = np.random.default_rng([34, ROLES.index(role), with_encoder])
+    dims = (7, 4, 3)
+    encoder = Encoder.create(rng, dims=dims) if with_encoder else None
+    d = dims[-1]
+    state_dim = {HEAD: 2 * d, OPERATION: 2 * d, OPERAND: 4 * d}[role]
+    n_out = N_OPERATIONS if role == OPERATION else 1
+    agent = make_agent(role, state_dim, n_out, 8, rng)
+    for _ in range(BATCH - 1):
+        push_transition(agent, _random_transition(rng, role, state_dim))
+    ref_agent, ref_encoder = copy.deepcopy((agent, encoder))
+    replay, ref_replay = np.random.default_rng(35), np.random.default_rng(35)
+    for step in range(24):
+        t = _random_transition(rng, role, state_dim)
+        push_transition(agent, t)
+        push_transition(ref_agent, copy.deepcopy(t))
+        kw = dict(gamma=0.9, lr=0.05, batch_size=BATCH)
+        got = train_step(agent, replay, encoder=encoder, **kw)
+        want = train_step_reference(ref_agent, ref_replay, encoder=ref_encoder, **kw)
+        assert got is not None
+        assert np.array(got).view(np.int64) == np.array(want).view(np.int64)
+        if step % 3 == 2:
+            sync_target(agent)
+            sync_target(ref_agent)
+        arrays = agent.prediction.params + agent.target.params
+        ref_arrays = ref_agent.prediction.params + ref_agent.target.params
+        if with_encoder:
+            arrays += encoder.params
+            ref_arrays += ref_encoder.params
+        for a, b in zip(_bits(arrays), _bits(ref_arrays), strict=True):
+            assert np.array_equal(a, b)
+
+
+def test_sync_target_clears_the_memoised_target_q():
+    agent = _head_agent(seed=40)
+    cand = np.array([0.4, -0.2, 0.9])
+    for _ in range(BATCH):
+        push_transition(agent, Transition(np.zeros(3), 0, 0.25, [cand]))
+    train_step(agent, np.random.default_rng(41), gamma=0.9, lr=0.0, batch_size=BATCH)
+    old = float(forward(agent.target, cand)[0])
+    assert [t.max_target_q for t in agent.buffer] == [old] * BATCH
+
+    agent.prediction.biases[-1][:] += 1.0
+    sync_target(agent)
+    assert [t.max_target_q for t in agent.buffer] == [None] * BATCH
+    loss = train_step(agent, np.random.default_rng(42), gamma=0.9, lr=0.0, batch_size=BATCH)
+    new = float(forward(agent.target, cand)[0])
+    assert new == pytest.approx(old + 1.0, abs=1e-12)
+    assert [t.max_target_q for t in agent.buffer] == [new] * BATCH
+    q0 = float(forward(agent.prediction, np.zeros(3))[0])
+    assert loss == pytest.approx((q0 - (0.25 + 0.9 * new)) ** 2, rel=1e-12)

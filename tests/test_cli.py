@@ -410,6 +410,42 @@ def test_train_with_too_few_rows_for_the_split_names_the_split(
     assert "has 0 row(s); each split needs at least 2" in err
 
 
+def test_train_on_a_split_too_small_for_cv_exits_two_before_searching(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    csv_path = tmp_path / "tiny.csv"
+    write_csv(
+        Dataset(
+            column_names=("a", "b"),
+            columns=(rng.normal(size=12), rng.normal(size=12)),
+            labels=np.arange(12) % 2,
+            task="classification",
+        ),
+        csv_path,
+    )
+    config = {k: v for k, v in FAST_CONFIG.items() if k != "folds"}
+    config_path = tmp_path / "default_folds.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    argv = ["train", "--data", str(csv_path), "--task", "cls", "--label", "label"]
+    assert main(argv + ["--out", str(out), "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "tcto: the test split of the 12-row dataset has 2 row(s), too few for 5-fold CV" in err
+    assert not (out / "steps.jsonl").exists()
+
+
+def test_apply_on_a_split_too_small_for_cv_exits_two_before_scoring(run_dir, capsys):
+    tmp_path, _, out = run_dir
+    csv_path = tmp_path / "small.csv"
+    _write_dataset(csv_path, n=17)
+    capsys.readouterr()
+    apply_out = tmp_path / "rescore"
+    argv = ["apply", "--data", str(csv_path), "--roadmap", str(out / "best_roadmap.json")]
+    assert main(argv + ["--out", str(apply_out)]) == 2
+    err = capsys.readouterr().err
+    assert "tcto: the test split of the 17-row dataset has 3 row(s), too few for 2-fold CV" in err
+    assert not (apply_out / "apply_summary.json").exists()
+
+
 def _overflowing_label_dataset(names, n=60, seed=4):
     """Regression labels spread over the float range, so the score is NaN."""
     rng = np.random.default_rng(seed)

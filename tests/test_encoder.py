@@ -20,7 +20,7 @@ from tcto.encoder import (
     state_backward,
     state_forward,
 )
-from tcto.nnsub import add_grads, sgd_step, zero_grads
+from tcto.nnsub import GradBuffers
 from tcto.opset import N_OPERATIONS, OP_BY_NAME, apply_unary
 from tcto.roadmap import Roadmap
 
@@ -247,12 +247,12 @@ def test_backward_returns_one_gradient_per_param():
 
 def test_gradient_helpers_accumulate_and_step():
     params = RGCNParams.create(np.random.default_rng(10), dims=(7, 3), n_relations=N_REL)
-    acc = zero_grads(params.params)
-    ones = [np.ones_like(w) for w in params.params]
-    add_grads(acc, ones, scale=0.25)
-    add_grads(acc, ones, scale=0.75)
+    acc = GradBuffers(params.params, scale=0.5)
+    for _ in range(2):
+        for i, w in enumerate(params.params):
+            acc.add(i, np.ones_like(w))
     before = params.layers[0][0].copy()
-    sgd_step(params.params, acc, lr=0.5)
+    acc.sgd_step(lr=0.5)
     assert np.allclose(params.layers[0][0], before - 0.5)
 
 
@@ -347,10 +347,11 @@ def test_encoder_create_shapes_and_grad_plumbing():
     assert enc.out_dim == 64
     assert enc.op_table.shape == (N_OPERATIONS, 64)
 
-    acc = zero_grads(enc.params)
-    add_grads(acc, [np.ones_like(w) for w in enc.params], scale=2.0)
+    acc = GradBuffers(enc.params, scale=2.0)
+    for i, w in enumerate(enc.params):
+        acc.add(i, np.ones_like(w))
     before_w = enc.rgcn.layers[0][0].copy()
     before_t = enc.op_table.copy()
-    sgd_step(enc.params, acc, lr=0.1)
+    acc.sgd_step(lr=0.1)
     assert np.allclose(enc.rgcn.layers[0][0], before_w - 0.2)
     assert np.allclose(enc.op_table, before_t - 0.2)

@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 from oracles import central_difference, fd_close
 from tcto.nnsub import (
     DenseNet,
-    add_grads,
+    GradBuffers,
     backprop,
     clone,
     copy_params,
     forward,
     forward_cache,
     glorot_uniform,
-    sgd_step,
-    zero_grads,
 )
 
 
@@ -31,6 +29,13 @@ def _mse(net, x, target):
     diff = y - np.asarray(target, dtype=float)
     grads, _ = backprop(net, cache, 2.0 * diff)
     return float(np.sum(diff * diff)), grads
+
+
+def _sgd(params, grads, lr):
+    acc = GradBuffers(params)
+    for i, g in enumerate(grads):
+        acc.add(i, g)
+    acc.sgd_step(lr)
 
 
 # -- forward values ----------------------------------------------------------------
@@ -189,7 +194,7 @@ def test_sgd_with_zero_learning_rate_changes_nothing():
     before = [w.copy() for w in net.weights] + [b.copy() for b in net.biases]
     loss, grads = _mse(net, [1.0, -1.0], [0.5])
     assert loss > 0.0
-    sgd_step(net.params, grads, lr=0.0)
+    _sgd(net.params, grads, lr=0.0)
     after = list(net.weights) + list(net.biases)
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
@@ -201,20 +206,41 @@ def test_single_bias_quadratic_takes_the_textbook_step():
     net.biases[0][:] = 0.0
     loss, grads = _mse(net, [0.0], [1.0])
     assert loss == 1.0
-    sgd_step(net.params, grads, lr=0.1)
+    _sgd(net.params, grads, lr=0.1)
     assert net.biases[0][0] == pytest.approx(0.2, abs=1e-15)
     assert net.weights[0][0, 0] == 0.0
 
 
 def test_gradient_accumulation_scales_and_sums():
     net = _net([2, 2], seed=6)
-    acc = zero_grads(net.params)
+    acc = GradBuffers(net.params, scale=0.5)
     _, g = _mse(net, [1.0, 2.0], [0.0, 0.0])
-    add_grads(acc, g, scale=0.5)
-    add_grads(acc, g, scale=0.5)
-    assert len(acc) == len(g) == 2
-    for a, gi in zip(acc, g):
+    for _ in range(2):
+        for i, gi in enumerate(g):
+            acc.add(i, gi)
+    dense = acc.dense()
+    assert len(dense) == len(g) == 2
+    for a, gi in zip(dense, g):
         assert np.allclose(a, gi)
+
+
+def test_buffers_hold_only_the_params_that_got_a_gradient():
+    net = _net([2, 3, 1], seed=6)
+    before = [p.copy() for p in net.params]
+    acc = GradBuffers(net.params, scale=0.5)
+    acc.add(1, np.ones(3))
+    acc.add(1, np.ones(3))
+    acc.add(2, np.array([2.0]), rows=1)
+    assert sorted(acc.buffers) == [1, 2]
+    dense = acc.dense()
+    assert np.array_equal(dense[0], np.zeros((2, 3)))
+    assert np.array_equal(dense[1], np.ones(3))
+    assert np.array_equal(dense[2], [[0.0], [1.0], [0.0]])
+    acc.sgd_step(lr=0.5)
+    assert np.array_equal(net.params[1], before[1] - 0.5)
+    assert np.array_equal(net.params[2], before[2] - [[0.0], [0.5], [0.0]])
+    for i in (0, 3):
+        assert net.params[i].tobytes() == before[i].tobytes()
 
 
 def test_hundred_sgd_steps_monotonically_fit_a_linear_toy():
@@ -224,14 +250,15 @@ def test_hundred_sgd_steps_monotonically_fit_a_linear_toy():
     net = _net([2, 4, 1], seed=7)
     losses = []
     for _ in range(100):
-        acc = zero_grads(net.params)
+        acc = GradBuffers(net.params, scale=1.0 / len(xs))
         total = 0.0
         for x, y in zip(xs, ys):
             loss, grads = _mse(net, x, y)
             total += loss
-            add_grads(acc, grads, scale=1.0 / len(xs))
+            for i, g in enumerate(grads):
+                acc.add(i, g)
         losses.append(total / len(xs))
-        sgd_step(net.params, acc, lr=0.01)
+        acc.sgd_step(lr=0.01)
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
     assert losses[-1] < losses[0]
 

@@ -647,6 +647,24 @@ def test_a_corrupt_checkpoint_is_rejected_and_changes_no_array(checkpointed, par
         assert was.tobytes() == now.tobytes()
 
 
+@pytest.mark.parametrize("phase", ["explore", "apply"])
+def test_decisions_refuse_non_finite_q_values(phase):
+    """Finite weights scaled by 1e200 load, and their Q-values overflow."""
+    cfg = _tiny_cfg(use_rgcn=False)
+    source = Pipeline(_product_dataset(), cfg)
+    for a in source.agents.values():
+        for w in a.prediction.params + a.target.params:
+            w *= 1e200
+    target = Pipeline(source.dataset, cfg)
+    target.load_checkpoint(source.checkpoint())
+    run = target.train if phase == "explore" else target.apply_policy
+    with pytest.raises(
+        PipelineError,
+        match=r"the head agent's Q-values are not all finite; try a learning_rate below 0\.01",
+    ):
+        run()
+
+
 # -- whole-pipeline properties ------------------------------------------------------
 
 
