@@ -4,7 +4,9 @@
 Each run trains a Pipeline and applies its policy on tcto.synth data, for
 regression and for a two-class version of the same labels (above or below
 their median), with 5 x 12 explore steps, 2 apply episodes, 2 folds, 2
-trees and depth 3. A digest is the sha256 over every step record, both
+trees and depth 3, and once with the benchmark's forest size: 3 folds, 10
+trees and depth 5, whose training-split fits are big enough to be spread
+over processes. A digest is the sha256 over every step record, both
 phases' best roadmaps and scores, and the JSON of Pipeline.checkpoint().
 Two checkouts behave the same on these runs when their outputs match:
 
@@ -38,6 +40,7 @@ CONFIGS = {
     "random_policy": {"random_policy": True},
     "node_wise": {"node_wise_fraction": 1.0, "node_budget_factor": 2},
     "centroid": {"eval": replace(BASE.eval, model="nearest-centroid")},
+    "forest_3x10": {"eval": replace(BASE.eval, folds=3, trees=10, max_depth=5)},
 }
 
 

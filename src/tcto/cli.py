@@ -195,7 +195,11 @@ def _cmd_apply(args) -> int:
     )
     if task not in _TASK_FLAGS:
         raise DataError(f"config.json has an unknown task {task!r}")
-    task, cfg = _TASK_FLAGS[task], config_from_dict(run)
+    try:
+        cfg = config_from_dict(run)
+    except ConfigError as exc:
+        raise DataError(f"config.json has a malformed run: {exc}") from exc
+    task = _TASK_FLAGS[task]
 
     dataset = load_csv(args.data, task, label)
     train_d, test_d = stratified_split(dataset, cfg.test_fraction, cfg.seed)

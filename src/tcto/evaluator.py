@@ -14,12 +14,23 @@ block, so the per-node cost is a handful of numpy calls whatever the number
 of candidates; the arithmetic and its order are those of a per-feature scan
 (tests/oracles.py keeps one), so every threshold, and every score, is the
 same bit for bit.
+
+A forest evaluate big enough to pay for a fork grows its (fold, tree) units
+in up to one process per CPU this process may run on: children forked for
+the call grow their share and send the predictions back down a pipe. Each
+tree is fixed by its fold's rows and its own seed, so the score is the same
+bit for bit however many processes grow it. Nothing sets the number.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
-from dataclasses import dataclass, replace
+import os
+import signal
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,23 +168,166 @@ def _grow(X, y, idx, X_te, te, out, depth, max_depth, feat_rng, n_subset, task, 
     out[te] = _leaf_value(y, idx, task, n_classes)
 
 
-def _forest(X, y, X_te, task: str, cfg: EvalConfig) -> np.ndarray:
-    """Bootstrap-aggregated CART trees with sqrt(p) feature subsampling,
-    trained on (X, y); returns their predictions for X_te: the mean over
-    trees for regression, the most-voted class (lowest on ties) otherwise."""
+@dataclass(frozen=True)
+class _Fold:
+    """One cross-validation fold: its training rows and labels, its
+    held-out rows and its model seed."""
+
+    X: np.ndarray
+    y: np.ndarray
+    X_te: np.ndarray
+    seed: int
+
+
+def _fit_tree(fold: _Fold, t: int, task: str, max_depth: int, n_classes: int, out) -> None:
+    """Grow tree t of fold's forest, a CART tree on a bootstrap sample with
+    sqrt(p) candidate features per node, and write its predictions for
+    fold.X_te into out. The tree depends only on the fold and t."""
+    X, X_te = fold.X, fold.X_te
     n, p = X.shape
-    n_subset = math.isqrt(p)
-    n_classes = int(y.max()) + 1 if task == CLASSIFICATION else 0
+    rng = np.random.default_rng(np.random.SeedSequence([fold.seed, t]))
+    sample = np.sort(rng.integers(0, n, size=n))
     te = np.arange(X_te.shape[0])
-    per_tree = np.empty((cfg.trees, te.shape[0]))
-    for t, out in enumerate(per_tree):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t]))
-        sample = np.sort(rng.integers(0, n, size=n))
-        _grow(X, y, sample, X_te, te, out, 0, cfg.max_depth, rng, n_subset, task, n_classes)
+    _grow(X, fold.y, sample, X_te, te, out, 0, max_depth, rng, math.isqrt(p), task, n_classes)
+
+
+def _combine(per_tree: np.ndarray, task: str, n_classes: int) -> np.ndarray:
+    """A forest's prediction from its (trees, rows) predictions: the mean over
+    trees for regression, the most-voted class (lowest on ties) otherwise."""
     if task == REGRESSION:
         return per_tree.mean(axis=0)
     votes = (per_tree[:, :, None] == np.arange(n_classes)).sum(axis=0)
     return votes.argmax(axis=1).astype(float)
+
+
+# A forest fit forks only from this many tree-rows: trees times training
+# rows, summed over folds. A fork costs its parent and child several ms of
+# page faults besides the fork itself. On 2 shared vCPUs (Intel Xeon, BLAS
+# at one thread), interleaved medians of evaluate, one child against none:
+# 600 tree-rows (30 rows, 3 folds x 10 trees) took 1.10x as long, 1200 (60
+# rows) 0.92x, 2000 0.73x and 6000 0.63x; 2 folds x 2 trees took 3-5x.
+_FORK_MIN_WORK = 1000
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on, or 1 where it cannot fork safely:
+    without os.fork, or while other Python threads run, since a child would
+    inherit any lock they hold, held for good."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _forest_folds(folds: list, task: str, cfg: EvalConfig) -> list:
+    """Each fold's forest predictions for its held-out rows.
+
+    The (fold, tree) units go round-robin to up to one process per CPU once
+    the fit is big enough to pay for a fork: this one and children forked
+    from it, which inherit the folds' arrays and send their trees'
+    predictions back as float64 bytes down a pipe. Each tree is fixed by its
+    fold and its index, and each fold's trees are combined in tree order, so
+    the predictions do not depend on the number of processes. A child that
+    fails or cannot be forked has its units fitted here; no child outlives
+    the call.
+    """
+    per_tree = [np.empty((cfg.trees, fold.X_te.shape[0])) for fold in folds]
+    n_classes = [int(fold.y.max()) + 1 if task == CLASSIFICATION else 0 for fold in folds]
+    units = [(f, t) for f in range(len(folds)) for t in range(cfg.trees)]
+
+    def rows(share) -> list:
+        return [per_tree[f][t] for f, t in share]
+
+    def fit(share) -> list:
+        """Grow the share's trees into their rows of per_tree; returns those rows."""
+        out = rows(share)
+        for (f, t), row in zip(share, out):
+            _fit_tree(folds[f], t, task, cfg.max_depth, n_classes[f], row)
+        return out
+
+    work = cfg.trees * sum(fold.X.shape[0] for fold in folds)
+    workers = min(len(units), _cpu_count()) if work >= _FORK_MIN_WORK else 1
+    shares = [units[w::workers] for w in range(workers)]
+    live: dict = {}  # pid -> pipe read end, for each child not yet reaped
+    try:
+        forked = []
+        for share in shares[1:]:
+            try:
+                pid = _fork_child(live, functools.partial(fit, share))
+            except OSError:
+                pid = None
+            forked.append((share, pid))
+        fit(shares[0])
+        for share, pid in forked:
+            out = rows(share)
+            nbytes = sum(row.nbytes for row in out)
+            data = None if pid is None else _collect(live, pid, nbytes)
+            if data is None:
+                fit(share)
+                continue
+            offset = 0
+            for row in out:
+                row[:] = np.frombuffer(data, count=row.shape[0], offset=offset)
+                offset += row.nbytes
+    finally:
+        for pid, fd in live.items():
+            os.close(fd)
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+    return [_combine(pt, task, c) for pt, c in zip(per_tree, n_classes)]
+
+
+def _fork_child(live: dict, work) -> int:
+    """Fork a child that runs work() and writes the float64 arrays it returns
+    down a pipe, and record the child's pipe read end in live under its pid.
+    The child leaves by os._exit, 0 after a full write and 1 on any
+    exception, so it never returns into the caller's stack, runs no atexit
+    handler and flushes no inherited buffer."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            data = memoryview(b"".join(row.tobytes() for row in work()))
+            while data:
+                data = data[os.write(w, data):]
+            code = 0
+        finally:
+            os._exit(code)
+    # Closed at once, so that the read end sees EOF when the child exits.
+    os.close(w)
+    live[pid] = r
+    return pid
+
+
+def _collect(live: dict, pid: int, nbytes: int):
+    """The bytes a child wrote, read to EOF, once it is reaped; None unless
+    it exited with code 0 after writing nbytes bytes."""
+    fd = live[pid]
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    _, status = os.waitpid(pid, 0)
+    del live[pid]
+    os.close(fd)
+    data = b"".join(chunks)
+    return data if os.waitstatus_to_exitcode(status) == 0 and len(data) == nbytes else None
+
+
+def _forest(X, y, X_te, task: str, cfg: EvalConfig) -> np.ndarray:
+    """Bootstrap-aggregated CART trees with sqrt(p) feature subsampling,
+    trained on (X, y); returns their predictions for X_te: the mean over
+    trees for regression, the most-voted class (lowest on ties) otherwise."""
+    return _forest_folds([_Fold(X, y, X_te, cfg.seed)], task, cfg)[0]
 
 
 def _centroid(X, y, X_te, task: str, cfg: EvalConfig) -> np.ndarray:
@@ -190,7 +344,12 @@ def _centroid(X, y, X_te, task: str, cfg: EvalConfig) -> np.ndarray:
     return np.array(values)[d2.argmin(axis=1)]
 
 
-_MODELS = {"forest": _forest, "nearest-centroid": _centroid}
+def _centroid_folds(folds: list, task: str, cfg: EvalConfig) -> list:
+    return [_centroid(fold.X, fold.y, fold.X_te, task, cfg) for fold in folds]
+
+
+# Each model maps a list of folds to each fold's predictions for its held-out rows.
+_MODELS = {"forest": _forest_folds, "nearest-centroid": _centroid_folds}
 
 
 def macro_f1(y_true, y_pred) -> float:
@@ -264,12 +423,13 @@ def evaluate(X, y, task: str, cfg: EvalConfig) -> float:
     preds = np.empty(n)
     # Labels near the float limit overflow into a non-finite score, refused below.
     with np.errstate(over="ignore", invalid="ignore"):
+        folds = []
         for f in range(cfg.folds):
             te = fold_of == f
-            tr = ~te
             fold_seed = np.random.SeedSequence([cfg.seed, 101, f]).generate_state(1)[0]
-            fold_cfg = replace(cfg, seed=int(fold_seed))
-            preds[te] = model(X[tr], y[tr] / unit, X[te], task, fold_cfg) * unit
+            folds.append(_Fold(X[~te], y[~te] / unit, X[te], int(fold_seed)))
+        for f, fold_preds in enumerate(model(folds, task, cfg)):
+            preds[fold_of == f] = fold_preds * unit
         score = macro_f1(y, preds) if task == CLASSIFICATION else one_minus_rae(y, preds)
     if not math.isfinite(score):
         raise DataError(f"the {task} score is not finite; the labels may overflow")

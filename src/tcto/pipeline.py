@@ -121,7 +121,10 @@ def config_from_dict(obj) -> RunConfig:
         kind = type(getattr(default, name))
         kinds = (int, float) if kind is float else kind
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, kinds):
-            raise ConfigError(f"config key {key!r} must be a {kind.__name__}, got {value!r}")
+            article = "an" if kind is int else "a"
+            raise ConfigError(
+                f"config key {key!r} must be {article} {kind.__name__}, got {value!r}"
+            )
         into[name] = value
     try:
         return replace(defaults, **base, eval=replace(defaults.eval, **eval_kw))

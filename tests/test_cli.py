@@ -9,7 +9,7 @@ from tcto.cli import main
 from tcto.pipeline import Pipeline, config_from_dict
 from tcto.roadmap import Roadmap
 from tcto.synth import synthetic_regression, write_csv
-from tcto.tabular import Dataset
+from tcto.tabular import CLASSIFICATION, Dataset
 
 FAST_CONFIG = {
     "episodes": 1,
@@ -537,6 +537,32 @@ def test_apply_rescoring_matches_the_training_summary(run_dir, capsys):
     assert result["n_train"] == summary["n_train"]
 
 
+@pytest.mark.parametrize("model", ["forest", "nearest-centroid"])
+def test_apply_replays_a_run_whose_top_class_a_fold_lacks(tmp_path, capsys, model):
+    # Class 2 has 3 rows, so the test split gets one of them, and the fold
+    # that holds it out trains without class 2.
+    n = 64
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(n, 3))
+    labels = np.where(np.arange(n) % 22 == 0, 2.0, (x[:, 0] + 0.3 * x[:, 1] > 0).astype(float))
+    assert np.sum(labels == 2.0) == 3
+    csv_path = tmp_path / "data.csv"
+    write_csv(Dataset(("a", "b", "c"), tuple(x.T), labels, CLASSIFICATION), csv_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**FAST_CONFIG, "folds": 3, "trees": 10, "model": model}))
+    out = tmp_path / "run"
+    train = ["train", "--data", str(csv_path), "--task", "cls", "--label", "label"]
+    assert main(train + ["--out", str(out), "--config", str(config_path)]) == 0
+    roadmap = str(out / "best_roadmap.json")
+    assert main(["apply", "--data", str(csv_path), "--roadmap", roadmap, "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    result = json.loads((out / "apply_summary.json").read_text())
+    summary = json.loads((out / "summary.json").read_text())
+    assert result["train_score"] == summary["best_score"]
+    assert result["test_score"] == summary["test_score"]
+
+
 def test_apply_without_the_run_config_exits_two(run_dir, tmp_path, capsys):
     _, csv_path, out = run_dir
     orphan = tmp_path / "orphan"
@@ -605,6 +631,9 @@ def _with_negative_parent(doc):
         ),
         ("config.json", lambda doc: []),
         ("config.json", lambda doc: {**doc, "task": ["reg"]}),
+        ("config.json", lambda doc: {**doc, "run": {**doc["run"], "episodes": 1.5}}),
+        ("config.json", lambda doc: {**doc, "run": {**doc["run"], "bogus": 1}}),
+        ("config.json", lambda doc: {**doc, "run": {**doc["run"], "folds": 1}}),
     ],
     ids=[
         "negative-parent",
@@ -613,6 +642,9 @@ def _with_negative_parent(doc):
         "alive-a-string",
         "config-a-list",
         "task-a-list",
+        "episodes-a-float",
+        "unknown-run-key",
+        "one-fold",
     ],
 )
 def test_malformed_run_artifacts_exit_two(run_dir, capsys, artifact, mutate):
@@ -625,7 +657,10 @@ def test_malformed_run_artifacts_exit_two(run_dir, capsys, artifact, mutate):
         ["apply", "--data", str(csv_path), "--roadmap", roadmap, "--out", str(tmp_path / "a")]
     )
     assert code == 2
-    assert "tcto: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "tcto: " in err
+    if artifact == "config.json":
+        assert "config.json" in err
     if artifact == "best_roadmap.json":
         assert main(["export", "--roadmap", roadmap, "--format", "json"]) == 2
         assert "tcto: " in capsys.readouterr().err

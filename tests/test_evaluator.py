@@ -1,6 +1,8 @@
 """Downstream scoring: metrics, tree growth, cross validation and MI."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import best_split_reference, plug_in_mi
+from tcto import evaluator
 from tcto.evaluator import (
     EvalConfig,
     _best_split,
@@ -278,6 +281,124 @@ def test_eval_config_validation():
     with pytest.raises(DataError):
         EvalConfig(model="tree")
     assert EvalConfig(max_depth=0).max_depth == 0
+
+
+# -- processes of a forest fit ---------------------------------------------------------
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pids of the children os.fork starts during the test."""
+    started = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return started
+
+
+@pytest.fixture()
+def workers(monkeypatch, forks):
+    """Sets the CPU count evaluate sees, with no size cut, so small fits fork too."""
+    monkeypatch.setattr(evaluator, "_FORK_MIN_WORK", 0)
+    return lambda n: monkeypatch.setattr(evaluator, "_cpu_count", lambda: n)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _three_class(n=30, seed=6):
+    """Data whose top class has one row, so one fold's training rows lack it."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 4))
+    y = np.where(np.arange(n) == 0, 2.0, (X[:, 0] > 0).astype(float))
+    return X, y
+
+
+@pytest.mark.parametrize("task", [REGRESSION, CLASSIFICATION])
+@pytest.mark.parametrize("folds,trees", [(3, 4), (2, 1)])
+def test_the_score_does_not_depend_on_the_worker_count(workers, forks, task, folds, trees):
+    X, y = _three_class()
+    if task == REGRESSION:
+        y = X[:, 0] - X[:, 1] ** 2
+    cfg = EvalConfig(folds=folds, trees=trees, max_depth=4)
+    scores = []
+    for n in (1, 2, 3):
+        workers(n)
+        before = len(forks)
+        scores.append(evaluate(X, y, task, cfg))
+        # One process per worker, and no more workers than (fold, tree) units.
+        assert len(forks) - before == min(n, folds * trees) - 1
+        _assert_no_children()
+    assert scores[1] == scores[0] and scores[2] == scores[0]
+
+
+def test_small_fits_stay_in_process_and_a_test_split_sized_one_forks(monkeypatch, forks):
+    monkeypatch.setattr(evaluator, "_cpu_count", lambda: 2)
+    X, y = _three_class(n=12)
+    evaluate(X, y, CLASSIFICATION, EvalConfig(folds=2, trees=2, max_depth=3))
+    assert forks == []
+    X, y = _three_class(n=60)
+    evaluate(X, y, CLASSIFICATION, EvalConfig(folds=3, trees=10, max_depth=5))
+    assert len(forks) == 1
+    _assert_no_children()
+
+
+def test_no_fork_while_another_thread_runs(forks):
+    X, y = _three_class(n=60)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        evaluate(X, y, CLASSIFICATION, EvalConfig(folds=3, trees=10, max_depth=5))
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert forks == []
+
+
+def test_a_failed_child_has_its_trees_grown_in_the_parent(workers, forks, monkeypatch):
+    X, y = _three_class()
+    cfg = EvalConfig(folds=3, trees=4, max_depth=4)
+    workers(1)
+    expected = evaluate(X, y, CLASSIFICATION, cfg)
+    parent, fit_tree = os.getpid(), evaluator._fit_tree
+
+    def fail_in_children(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        fit_tree(*args)
+
+    monkeypatch.setattr(evaluator, "_fit_tree", fail_in_children)
+    workers(2)
+    assert evaluate(X, y, CLASSIFICATION, cfg) == expected
+    assert len(forks) == 1
+    _assert_no_children()
+
+
+def test_no_child_outlives_an_exception_in_the_parents_share(workers, forks, monkeypatch):
+    X, y = _three_class()
+    parent, fit_tree = os.getpid(), evaluator._fit_tree
+
+    def interrupt_the_parent(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        fit_tree(*args)
+
+    monkeypatch.setattr(evaluator, "_fit_tree", interrupt_the_parent)
+    workers(3)
+    with pytest.raises(KeyboardInterrupt):
+        evaluate(X, y, CLASSIFICATION, EvalConfig(folds=3, trees=4, max_depth=4))
+    assert len(forks) == 2
+    _assert_no_children()
 
 
 # -- mutual information -----------------------------------------------------------------

@@ -99,8 +99,10 @@ def test_config_dict_roundtrip():
 def test_config_surfaces_bad_values_as_config_errors():
     with pytest.raises(ConfigError):
         config_from_dict({"episodes": -1})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="'episodes' must be an int"):
         config_from_dict({"episodes": "many"})
+    with pytest.raises(ConfigError, match="'use_rgcn' must be a bool"):
+        config_from_dict({"use_rgcn": 1})
     with pytest.raises(ConfigError):
         config_from_dict({"folds": 1})
 
