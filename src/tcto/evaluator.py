@@ -17,16 +17,17 @@ same bit for bit.
 
 A forest evaluate big enough to pay for a fork grows its (fold, tree) units
 in up to one process per CPU this process may run on: children forked for
-the call grow their share and send the predictions back down a pipe. Each
-tree is fixed by its fold's rows and its own seed, so the score is the same
-bit for bit however many processes grow it. Nothing sets the number.
+the call grow their share and write the predictions into a mapping shared
+with this process. Each tree is fixed by its fold's rows and its own seed,
+so the score is the same bit for bit however many processes grow it.
+Nothing sets the number.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
+import mmap
 import os
 import signal
 import threading
@@ -225,54 +226,46 @@ def _forest_folds(folds: list, task: str, cfg: EvalConfig) -> list:
 
     The (fold, tree) units go round-robin to up to one process per CPU once
     the fit is big enough to pay for a fork: this one and children forked
-    from it, which inherit the folds' arrays and send their trees'
-    predictions back as float64 bytes down a pipe. Each tree is fixed by its
-    fold and its index, and each fold's trees are combined in tree order, so
-    the predictions do not depend on the number of processes. A child that
-    fails or cannot be forked has its units fitted here; no child outlives
-    the call.
+    from it, which inherit the folds' arrays and write their trees'
+    predictions straight into a mapping shared with this process. Each tree
+    is fixed by its fold and its index, and each fold's trees are combined
+    in tree order, so the predictions do not depend on the number of
+    processes. A child that fails or cannot be forked has its units fitted
+    here; no child outlives the call.
     """
-    per_tree = [np.empty((cfg.trees, fold.X_te.shape[0])) for fold in folds]
+    sizes = [cfg.trees * fold.X_te.shape[0] for fold in folds]
+    # float64 rows that the children forked below write into; mmap refuses length 0.
+    shared = np.frombuffer(mmap.mmap(-1, 8 * max(sum(sizes), 1)))
+    blocks = np.split(shared, np.cumsum(sizes))
+    per_tree = [b.reshape(cfg.trees, fold.X_te.shape[0]) for b, fold in zip(blocks, folds)]
     n_classes = [int(fold.y.max()) + 1 if task == CLASSIFICATION else 0 for fold in folds]
     units = [(f, t) for f in range(len(folds)) for t in range(cfg.trees)]
 
-    def rows(share) -> list:
-        return [per_tree[f][t] for f, t in share]
-
-    def fit(share) -> list:
-        """Grow the share's trees into their rows of per_tree; returns those rows."""
-        out = rows(share)
-        for (f, t), row in zip(share, out):
-            _fit_tree(folds[f], t, task, cfg.max_depth, n_classes[f], row)
-        return out
+    def fit(share) -> None:
+        for f, t in share:
+            _fit_tree(folds[f], t, task, cfg.max_depth, n_classes[f], per_tree[f][t])
 
     work = cfg.trees * sum(fold.X.shape[0] for fold in folds)
     workers = min(len(units), _cpu_count()) if work >= _FORK_MIN_WORK else 1
     shares = [units[w::workers] for w in range(workers)]
-    live: dict = {}  # pid -> pipe read end, for each child not yet reaped
+    live: dict = {}  # pid -> share, for each child not yet reaped
     try:
-        forked = []
+        failed = []
         for share in shares[1:]:
             try:
-                pid = _fork_child(live, functools.partial(fit, share))
+                live[_fork_child(fit, share)] = share
             except OSError:
-                pid = None
-            forked.append((share, pid))
+                failed.append(share)
         fit(shares[0])
-        for share, pid in forked:
-            out = rows(share)
-            nbytes = sum(row.nbytes for row in out)
-            data = None if pid is None else _collect(live, pid, nbytes)
-            if data is None:
-                fit(share)
-                continue
-            offset = 0
-            for row in out:
-                row[:] = np.frombuffer(data, count=row.shape[0], offset=offset)
-                offset += row.nbytes
+        for pid in list(live):
+            status = os.waitpid(pid, 0)[1]
+            if os.waitstatus_to_exitcode(status) != 0:
+                failed.append(live[pid])
+            del live[pid]
+        for share in failed:
+            fit(share)
     finally:
-        for pid, fd in live.items():
-            os.close(fd)
+        for pid in live:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             with contextlib.suppress(ChildProcessError):
@@ -280,47 +273,20 @@ def _forest_folds(folds: list, task: str, cfg: EvalConfig) -> list:
     return [_combine(pt, task, c) for pt, c in zip(per_tree, n_classes)]
 
 
-def _fork_child(live: dict, work) -> int:
-    """Fork a child that runs work() and writes the float64 arrays it returns
-    down a pipe, and record the child's pipe read end in live under its pid.
-    The child leaves by os._exit, 0 after a full write and 1 on any
-    exception, so it never returns into the caller's stack, runs no atexit
-    handler and flushes no inherited buffer."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
+def _fork_child(fit, share) -> int:
+    """Fork a child that runs fit(share) and leaves by os._exit, 0 once it
+    returns and 1 on any exception, so it never returns into the caller's
+    stack, runs no atexit handler and flushes no inherited buffer. Its exit
+    status is all it reports."""
+    pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            os.close(r)
-            data = memoryview(b"".join(row.tobytes() for row in work()))
-            while data:
-                data = data[os.write(w, data):]
+            fit(share)
             code = 0
         finally:
             os._exit(code)
-    # Closed at once, so that the read end sees EOF when the child exits.
-    os.close(w)
-    live[pid] = r
     return pid
-
-
-def _collect(live: dict, pid: int, nbytes: int):
-    """The bytes a child wrote, read to EOF, once it is reaped; None unless
-    it exited with code 0 after writing nbytes bytes."""
-    fd = live[pid]
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    _, status = os.waitpid(pid, 0)
-    del live[pid]
-    os.close(fd)
-    data = b"".join(chunks)
-    return data if os.waitstatus_to_exitcode(status) == 0 and len(data) == nbytes else None
 
 
 def _forest(X, y, X_te, task: str, cfg: EvalConfig) -> np.ndarray:

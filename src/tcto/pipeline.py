@@ -345,9 +345,10 @@ class Pipeline:
         """Overwrite every trained array from a version 2 checkpoint.
 
         source is the object checkpoint() returns or the path of its JSON
-        file. Any other version, a use_rgcn mismatch, a wrong number of
-        arrays, text that is not base64, a wrong byte length or a value
-        that is not finite raises PipelineError and changes no array.
+        file. Any other version, a use_rgcn that is not a JSON boolean or
+        does not match, a wrong number of arrays, text that is not base64,
+        a wrong byte length or a value that is not finite raises
+        PipelineError and changes no array.
         """
         if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
             try:
@@ -359,7 +360,10 @@ class Pipeline:
                 raise PipelineError(f"malformed checkpoint JSON: {exc}") from exc
         if not isinstance(source, dict) or source.get("version") != 2:
             raise PipelineError("unsupported checkpoint format")
-        if bool(source.get("use_rgcn")) != self.cfg.use_rgcn:
+        mode = source.get("use_rgcn")
+        if not isinstance(mode, bool):
+            raise PipelineError(f"checkpoint use_rgcn must be true or false, got {mode!r}")
+        if mode != self.cfg.use_rgcn:
             raise PipelineError("checkpoint encoder mode does not match use_rgcn")
         try:
             pairs = []

@@ -215,13 +215,10 @@ class Roadmap:
                 "dataset columns do not match the roadmap's original columns"
             )
         needed = set(self.alive_ids())
-        stack = list(needed)
-        while stack:
-            i = stack.pop()
-            for p in self.nodes[i].parents:
-                if p not in needed:
-                    needed.add(p)
-                    stack.append(p)
+        # A node's parents have lower ids, so one pass from the top finds them all.
+        for node in reversed(self.nodes):
+            if node.id in needed:
+                needed.update(node.parents)
         values: dict[int, np.ndarray] = {}
         for node in self.nodes:
             if node.id not in needed:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import signal
 import threading
 
 import numpy as np
@@ -365,7 +366,29 @@ def test_no_fork_while_another_thread_runs(forks):
     assert forks == []
 
 
-def test_a_failed_child_has_its_trees_grown_in_the_parent(workers, forks, monkeypatch):
+def test_a_fit_whose_children_succeed_grows_only_its_own_share(workers, forks, monkeypatch):
+    X, y = _three_class()
+    parent, fit_tree, in_parent = os.getpid(), evaluator._fit_tree, []
+
+    def count_in_parent(*args):
+        if os.getpid() == parent:
+            in_parent.append(args[1])
+        fit_tree(*args)
+
+    monkeypatch.setattr(evaluator, "_fit_tree", count_in_parent)
+    workers(2)
+    evaluate(X, y, CLASSIFICATION, EvalConfig(folds=3, trees=4, max_depth=4))
+    assert len(forks) == 1
+    assert len(in_parent) == 6  # half of the 3 x 4 units
+    _assert_no_children()
+
+
+@pytest.mark.parametrize(
+    "die",
+    [lambda: os._exit(3), lambda: os.kill(os.getpid(), signal.SIGKILL)],
+    ids=["exit-3", "sigkill"],
+)
+def test_a_failed_child_has_its_trees_grown_in_the_parent(workers, forks, monkeypatch, die):
     X, y = _three_class()
     cfg = EvalConfig(folds=3, trees=4, max_depth=4)
     workers(1)
@@ -374,7 +397,7 @@ def test_a_failed_child_has_its_trees_grown_in_the_parent(workers, forks, monkey
 
     def fail_in_children(*args):
         if os.getpid() != parent:
-            os._exit(3)
+            die()
         fit_tree(*args)
 
     monkeypatch.setattr(evaluator, "_fit_tree", fail_in_children)

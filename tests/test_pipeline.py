@@ -556,6 +556,15 @@ def test_checkpoint_mode_mismatch_is_rejected():
     with pytest.raises(PipelineError):
         Pipeline(data, cfg).load_checkpoint(bad)
 
+    # Only a JSON true or false names the encoder mode, for either pipeline.
+    no_mode = {k: v for k, v in cp.items() if k != "use_rgcn"}
+    for target in (Pipeline(data, cfg), other):
+        for bad_mode in ("true", "false", 1, 0, "yes", [1], None):
+            with pytest.raises(PipelineError):
+                target.load_checkpoint(dict(cp, use_rgcn=bad_mode))
+        with pytest.raises(PipelineError):
+            target.load_checkpoint(no_mode)
+
     per_layer = trained_pipe.encoder.rgcn.n_relations + 1
     one_layer = copy.deepcopy(cp)
     del one_layer["encoder"][per_layer:]
