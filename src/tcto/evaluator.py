@@ -7,13 +7,17 @@ mutual-information estimate used for pruning.
 
 Each fold trains its model and predicts its held-out rows in one pass, and
 no model is kept: a tree sends the held-out rows down each split as it grows
-and writes their predictions at its leaves. Trees grow depth first from one
-seeded generator per tree, which draws each node's candidate features. A
-node scores all of its candidates in one pass over its (rows x candidates)
-block, so the per-node cost is a handful of numpy calls whatever the number
-of candidates; the arithmetic and its order are those of a per-feature scan
-(tests/oracles.py keeps one), so every threshold, and every score, is the
-same bit for bit.
+and writes their predictions at its leaves. Each tree takes its nodes in
+depth-first preorder from one seeded generator per tree, which draws each
+node's candidate features. The trees one process grows advance in
+lockstep, one splitting node per tree per round, and a round's nodes score
+all of their candidates together in one pass over a padded (nodes x rows x
+candidates) block, then split their rows together, so a round costs a few
+dozen numpy calls whatever its number of nodes and candidates. Each tree
+draws and splits exactly as it would alone, and the arithmetic and its
+order are those of a per-feature scan of one node (tests/oracles.py keeps
+one, and a depth-first tree built on it), so every threshold, and every
+score, is the same bit for bit.
 
 A forest evaluate big enough to pay for a fork grows its (fold, tree) units
 in up to one process per CPU this process may run on: children forked for
@@ -67,106 +71,90 @@ class EvalConfig:
 
 def _gini(counts: np.ndarray, total: np.ndarray) -> np.ndarray:
     frac = counts / total[..., None]
-    return 1.0 - (frac * frac).sum(axis=-1)
+    frac *= frac
+    return 1.0 - frac.sum(axis=-1)
 
 
-def _best_split(X, y, idx, feats, task, n_classes):
-    """Find the impurity-minimizing (feature, threshold) over all candidates.
+def _best_splits(X, y, nodes, feats, task, n_classes) -> list:
+    """Find each node's impurity-minimizing (feature, threshold) among its
+    candidates.
 
-    One pass over the node's (n, k) block scores every candidate feature at
-    once: a stable sort of each column, cumulative label sums along the
-    sorted rows, and one best cut per feature. Candidate thresholds are the
-    midpoints between consecutive distinct sorted values. Among features the
-    largest gain wins, the lowest feature on ties, as a strict '>' scan in
-    ascending feature order would pick. Returns (feature, threshold) or None
-    when nothing gains more than _MIN_GAIN.
+    nodes lists each node's rows of X, whose last row is all +inf and pads
+    every node to the largest node's row count; feats holds each node's
+    candidate features, one row per node. One pass over the (nodes, rows,
+    candidates) block scores every candidate of every node: a stable sort
+    of each column, which leaves the pads last and the real rows in their
+    order, cumulative label sums along the sorted rows, and one best cut per
+    feature, cuts at or past a node's last real row masked. Candidate
+    thresholds are the midpoints between consecutive distinct sorted values.
+    Among a node's features the largest gain wins, the lowest feature on
+    ties, as a strict '>' scan in ascending feature order would pick. Every
+    operation and its order is that of a search over one node alone, so
+    each result is the same bit for bit. Returns (feature, threshold) per
+    node, or None when nothing gains more than _MIN_GAIN.
     """
-    n = idx.shape[0]
-    cols = np.arange(feats.shape[0])
-    block = X[idx[:, None], feats]
-    order = np.argsort(block, axis=0, kind="stable")
-    xs_s = block[order, cols]
-    n_left = np.arange(1.0, n)[:, None]
+    sizes = np.array([rows.shape[0] for rows in nodes])
+    # One pad row at least, so every node has the cut past its last real row.
+    b, m, k, p = sizes.shape[0], int(sizes.max()) + 1, feats.shape[1], X.shape[1]
+    node = np.arange(b)
+    rows = np.full((b, m), X.shape[0] - 1)
+    rows[np.arange(m) < sizes[:, None]] = np.concatenate(nodes)
+    block = X.take(rows[:, :, None] * p + feats[:, None, :])
+    order = np.argsort(block, axis=1, kind="stable")
+    xs_s = block.take(order * k + (node * (m * k))[:, None, None] + np.arange(k))
+    ys = y.take(rows.take(order + (node * m)[:, None, None]))
+    last = (node, sizes - 1)
+    n = sizes.astype(float)[:, None, None]
+    n_left = np.arange(1.0, m)[:, None]
     n_right = n - n_left
-    ys_all = y[idx]
     # Every cut is scored and the invalid ones masked afterwards, so
-    # overflow there is expected and not worth a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow and division by the pads' zero counts are expected there.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if task == CLASSIFICATION:
-            ys_int = ys_all.astype(int)
-            parent_counts = np.bincount(ys_int, minlength=n_classes).astype(float)
-            parent_imp = float(_gini(parent_counts, np.array(float(n))))
-            onehot = np.zeros((n, cols.shape[0], n_classes))
-            onehot[np.arange(n)[:, None], cols, ys_int[order]] = 1.0
-            cum = onehot.cumsum(axis=0)
-            left_counts = cum[:-1]
-            right_counts = cum[-1] - left_counts
-            child_imp = (
-                n_left * _gini(left_counts, n_left)
-                + n_right * _gini(right_counts, n_right)
-            ) / n
+            # The (nodes, rows, candidates, classes) counts are the largest
+            # arrays of a fit, so they are built, summed and turned into the
+            # right side's counts in place.
+            cum = np.zeros((b, m, k, n_classes))
+            cum[node[:, None, None], np.arange(m)[:, None], np.arange(k), ys.astype(int)] = 1.0
+            cum.cumsum(axis=1, out=cum)
+            total = cum[last]
+            parent_imp = _gini(total[:, 0], n[:, 0, 0])[:, None, None]
+            left = cum[:, :-1]
+            left_imp = n_left * _gini(left, n_left)
+            right_counts = np.subtract(total[:, None], left, out=left)
+            child_imp = (left_imp + n_right * _gini(right_counts, n_right)) / n
         else:
-            # ys_all.var() spelled out: the same operations without the wrapper
-            d = ys_all - ys_all.sum() / n
-            parent_imp = float((d * d).sum() / n)
-            ys = ys_all[order]
-            s1 = ys.cumsum(axis=0)
-            s2 = (ys * ys).cumsum(axis=0)
-            mean_l = s1[:-1] / n_left
-            var_l = np.maximum(s2[:-1] / n_left - mean_l * mean_l, 0.0)
-            mean_r = (s1[-1] - s1[:-1]) / n_right
-            var_r = np.maximum((s2[-1] - s2[:-1]) / n_right - mean_r * mean_r, 0.0)
+            # Each node's ys.var() spelled out. A sum's bits depend on its
+            # length, so it runs over the node's own rows, not the padded ones.
+            parent_imp = np.empty((b, 1, 1))
+            for i, node_rows in enumerate(nodes):
+                ys_node = y[node_rows]
+                d = ys_node - ys_node.sum() / sizes[i]
+                parent_imp[i] = (d * d).sum() / sizes[i]
+            s1 = ys.cumsum(axis=1)
+            s2 = (ys * ys).cumsum(axis=1)
+            mean_l = s1[:, :-1] / n_left
+            var_l = np.maximum(s2[:, :-1] / n_left - mean_l * mean_l, 0.0)
+            mean_r = (s1[last][:, None] - s1[:, :-1]) / n_right
+            var_r = np.maximum((s2[last][:, None] - s2[:, :-1]) / n_right - mean_r * mean_r, 0.0)
             child_imp = (n_left * var_l + n_right * var_r) / n
         gains = parent_imp - child_imp
-    gains[~(xs_s[1:] > xs_s[:-1])] = -np.inf
+    # X has no NaN, and the pads sort last as equal values, so only the cut
+    # between a node's last real row and its first pad needs its own mask.
+    gains[xs_s[:, 1:] <= xs_s[:, :-1]] = -np.inf
+    gains[last] = -np.inf
     # argmax takes a feature's first NaN gain as its best, which then loses
     # to every feature, as the strict '>' does.
-    cut = gains.argmax(axis=0)
-    top = gains[cut, cols]
+    cut = gains.argmax(axis=1)
+    top = gains[node[:, None], cut, np.arange(k)]
     top[~(top > _MIN_GAIN)] = -np.inf
-    j = int(top.argmax())
-    if top[j] == -np.inf:
-        return None
-    c = cut[j]
-    return int(feats[j]), float((xs_s[c, j] + xs_s[c + 1, j]) / 2.0)
-
-
-def _leaf_value(y, idx, task, n_classes) -> float:
-    ys = y[idx]
-    if task == CLASSIFICATION:
-        return float(np.bincount(ys.astype(int), minlength=n_classes).argmax())
-    return float(ys.sum() / ys.shape[0])  # ys.mean() without the wrapper
-
-
-def _grow(X, y, idx, X_te, te, out, depth, max_depth, feat_rng, n_subset, task, n_classes):
-    """Grow a CART tree on the rows idx of X and write its predictions for
-    the rows te of X_te into out.
-
-    Each split sends the held-out rows left or right with the test it found
-    on the training rows, and each leaf writes its value to the rows that
-    reach it. Growth reads only the training rows, so the tree and its
-    feature draws do not depend on te, which may be empty.
-    """
-    ys = y[idx]
-    if depth < max_depth and idx.shape[0] >= 2 and not (ys == ys[0]).all():
-        p = X.shape[1]
-        if n_subset < p:
-            feats = np.sort(feat_rng.choice(p, size=n_subset, replace=False))
-        else:
-            feats = np.arange(p)
-        split = _best_split(X, y, idx, feats, task, n_classes)
-        if split is not None:
-            f, thr = split
-            mask = X[idx, f] <= thr
-            # Midpoints of extreme adjacent values can overflow to inf or round
-            # onto an endpoint, emptying one side; such a split carries no signal.
-            if mask.any() and not mask.all():
-                go_left = X_te[te, f] <= thr
-                rest = (out, depth + 1, max_depth, feat_rng, n_subset, task, n_classes)
-                _grow(X, y, idx[mask], X_te, te[go_left], *rest)
-                _grow(X, y, idx[~mask], X_te, te[~go_left], *rest)
-                return
-    out[te] = _leaf_value(y, idx, task, n_classes)
+    j = top.argmax(axis=1)
+    c = cut[node, j]
+    thr = (xs_s[node, c, j] + xs_s[node, c + 1, j]) / 2.0
+    found = top[node, j] != -np.inf
+    return [
+        (int(feats[i, j[i]]), float(thr[i])) if found[i] else None for i in range(b)
+    ]
 
 
 @dataclass(frozen=True)
@@ -180,16 +168,168 @@ class _Fold:
     seed: int
 
 
-def _fit_tree(fold: _Fold, t: int, task: str, max_depth: int, n_classes: int, out) -> None:
-    """Grow tree t of fold's forest, a CART tree on a bootstrap sample with
-    sqrt(p) candidate features per node, and write its predictions for
-    fold.X_te into out. The tree depends only on the fold and t."""
-    X, X_te = fold.X, fold.X_te
-    n, p = X.shape
-    rng = np.random.default_rng(np.random.SeedSequence([fold.seed, t]))
-    sample = np.sort(rng.integers(0, n, size=n))
-    te = np.arange(X_te.shape[0])
-    _grow(X, fold.y, sample, X_te, te, out, 0, max_depth, rng, math.isqrt(p), task, n_classes)
+@dataclass(frozen=True)
+class _Stack:
+    """The folds of one forest fit, with every fold's training rows stacked
+    into one X, then one all-+inf row that pads nodes in _best_splits, and
+    their labels into one y, then a 0 for the pad. Fold f owns rows
+    starts[f]:starts[f + 1]; classes holds its class count (0 for
+    regression)."""
+
+    folds: list
+    classes: list
+    X: np.ndarray
+    y: np.ndarray
+    starts: np.ndarray
+    X_te: np.ndarray
+    te_starts: np.ndarray
+
+    @classmethod
+    def of(cls, folds: list, task: str) -> _Stack:
+        p = folds[0].X.shape[1]
+        return cls(
+            folds,
+            [int(fold.y.max()) + 1 if task == CLASSIFICATION else 0 for fold in folds],
+            np.vstack([fold.X for fold in folds] + [np.full((1, p), np.inf)]),
+            np.concatenate([fold.y for fold in folds] + [np.zeros(1)]),
+            np.cumsum([0] + [fold.X.shape[0] for fold in folds]),
+            np.vstack([fold.X_te for fold in folds]),
+            np.cumsum([0] + [fold.X_te.shape[0] for fold in folds]),
+        )
+
+
+@dataclass(frozen=True)
+class _Tree:
+    """A tree being grown: the generator that draws its candidates, its
+    fold, the row its predictions go to, and its open nodes, each (rows,
+    held-out rows, depth, pure), the last one next."""
+
+    rng: np.random.Generator
+    fold: int
+    out: np.ndarray
+    nodes: list
+
+
+def _runs(a: np.ndarray, sizes: np.ndarray) -> list:
+    """a cut into consecutive runs of the given sizes."""
+    ends = np.cumsum(sizes).tolist()
+    return [a[s:e] for s, e in zip([0] + ends[:-1], ends)]
+
+
+def _partition(stack: _Stack, rows: list, te: list, folds: list, feats: list, thrs: list) -> list:
+    """Send each node's training rows rows[i] and held-out rows te[i], of
+    fold folds[i], left where feature feats[i] is at most thrs[i] and right
+    otherwise, all nodes at once. Returns per node its left and right child,
+    each (rows, held-out rows, pure), pure when the side's labels are all
+    equal, or None when a side is empty. Children keep their parent's row
+    order."""
+    p = stack.X.shape[1]
+    sizes = np.array([r.shape[0] for r in rows])
+    te_sizes = np.array([t.shape[0] for t in te])
+    rows, te = np.concatenate(rows), np.concatenate(te)
+    left = stack.X.take(rows * p + np.repeat(feats, sizes)) <= np.repeat(thrs, sizes)
+    te_rows = te + np.repeat(stack.te_starts[folds], te_sizes)
+    te_left = stack.X_te.take(te_rows * p + np.repeat(feats, te_sizes)) <= np.repeat(thrs, te_sizes)
+    n_left = np.add.reduceat(left, np.cumsum(sizes) - sizes, dtype=np.intp)
+    te_ends = np.cumsum(te_sizes)
+    te_cum = np.concatenate([[0], np.cumsum(te_left)])
+    te_n_left = te_cum[te_ends] - te_cum[te_ends - te_sizes]
+    sides = []
+    for side, te_side, n, n_te in (
+        (left, te_left, n_left, te_n_left),
+        (~left, ~te_left, sizes - n_left, te_sizes - te_n_left),
+    ):
+        # n[i] rows of node i go to this side; changes[j] counts the labels
+        # among the side's first j that differ from the one before them.
+        side_rows = rows[side]
+        ys = stack.y.take(side_rows)
+        changes = np.concatenate([[0, 0], np.cumsum(ys[1:] != ys[:-1])])
+        ends = np.cumsum(n)
+        pure = changes[ends] == changes[np.minimum(ends - n + 1, ends)]
+        sides.append(zip(_runs(side_rows, n), _runs(te[te_side], n_te), pure.tolist()))
+    # Midpoints of extreme adjacent values can overflow to inf or round onto
+    # an endpoint, emptying one side; such a split carries no signal.
+    return [
+        (lt, rt) if lt[0].shape[0] and rt[0].shape[0] else None for lt, rt in zip(*sides)
+    ]
+
+
+def _fit_trees(stack: _Stack, share: list, task: str, max_depth: int, per_tree: list) -> None:
+    """Grow tree t of fold f's forest for every (f, t) in share, each a CART
+    tree on a bootstrap sample with sqrt(p) candidate features per node, and
+    write its predictions for the fold's held-out rows into per_tree[f][t].
+
+    Each tree grows depth first from its own generator, exactly as alone:
+    it pops its nodes in preorder, writing the leaves, until it reaches a
+    node that will try to split, whose candidates it draws. The trees grow
+    in lockstep, so one round holds one such node per open tree, and
+    _best_splits scores the round's nodes together, one call per size
+    class (sizes within 4x of each other, so little of a block is padding)
+    and class count; _partition then splits them all at once. A split sends
+    the node's held-out rows left or right with the test it found on the
+    training rows, and each leaf writes its value to the held-out rows that
+    reach it. Growth reads only the training rows, so a tree and its draws
+    depend only on its fold and t.
+    """
+    X, y = stack.X, stack.y
+    p = X.shape[1]
+    n_subset = math.isqrt(p)
+    all_feats = np.arange(p)
+    trees = []
+    for f, t in share:
+        fold, lo = stack.folds[f], stack.starts[f]
+        n = fold.X.shape[0]
+        rng = np.random.default_rng(np.random.SeedSequence([fold.seed, t]))
+        sample = lo + np.sort(rng.integers(0, n, size=n))
+        ys = y[sample]
+        root = (sample, np.arange(fold.X_te.shape[0]), 0, bool((ys == ys[0]).all()))
+        trees.append(_Tree(rng, f, per_tree[f][t], [root]))
+
+    def leaf(tree: _Tree, rows, te) -> None:
+        ys = y[rows]
+        if task == CLASSIFICATION:
+            classes = stack.classes[tree.fold]
+            tree.out[te] = float(np.bincount(ys.astype(int), minlength=classes).argmax())
+        else:
+            tree.out[te] = float(ys.sum() / ys.shape[0])  # ys.mean() without the wrapper
+
+    while trees:
+        rounds: dict = {}  # (size class, class count) -> [(tree, rows, te, depth, feats)]
+        for tree in trees:
+            while tree.nodes:
+                rows, te, depth, pure = tree.nodes.pop()
+                if depth < max_depth and rows.shape[0] >= 2 and not pure:
+                    if n_subset < p:
+                        feats = tree.rng.choice(p, size=n_subset, replace=False)
+                        feats.sort()
+                    else:
+                        feats = all_feats
+                    key = (rows.shape[0].bit_length() // 2, stack.classes[tree.fold])
+                    rounds.setdefault(key, []).append((tree, rows, te, depth, feats))
+                    break
+                leaf(tree, rows, te)
+        splitting, found = [], []
+        for (_, classes), batch in rounds.items():
+            feats = np.array([node[4] for node in batch])
+            splits = _best_splits(X, y, [node[1] for node in batch], feats, task, classes)
+            for node, split in zip(batch, splits):
+                if split is None:
+                    leaf(*node[:3])
+                else:
+                    splitting.append(node)
+                    found.append(split)
+        if splitting:
+            children = _partition(
+                stack, [node[1] for node in splitting], [node[2] for node in splitting],
+                [node[0].fold for node in splitting], *zip(*found),
+            )
+            for (tree, rows, te, depth, _), pair in zip(splitting, children):
+                if pair is None:
+                    leaf(tree, rows, te)
+                else:
+                    for child_rows, child_te, pure in reversed(pair):
+                        tree.nodes.append((child_rows, child_te, depth + 1, pure))
+        trees = [tree for tree in trees if tree.nodes]
 
 
 def _combine(per_tree: np.ndarray, task: str, n_classes: int) -> np.ndarray:
@@ -203,11 +343,13 @@ def _combine(per_tree: np.ndarray, task: str, n_classes: int) -> np.ndarray:
 
 # A forest fit forks only from this many tree-rows: trees times training
 # rows, summed over folds. A fork costs its parent and child several ms of
-# page faults besides the fork itself. On 2 shared vCPUs (Intel Xeon, BLAS
-# at one thread), interleaved medians of evaluate, one child against none:
-# 600 tree-rows (30 rows, 3 folds x 10 trees) took 1.10x as long, 1200 (60
-# rows) 0.92x, 2000 0.73x and 6000 0.63x; 2 folds x 2 trees took 3-5x.
-_FORK_MIN_WORK = 1000
+# page faults besides the fork itself, and the parent keeps paying some
+# after the call. On 2 shared vCPUs (Intel Xeon, BLAS at one thread),
+# interleaved medians of evaluate with 3 folds x 10 trees, one child
+# against none: 600 tree-rows (30 rows) took 1.9-2.1x as long, 900 1.12x,
+# 1200 (60 rows) 0.88-1.19x over four runs, 1500 0.87-1.07x, 2000
+# 0.81-0.88x and 6000 0.77x.
+_FORK_MIN_WORK = 1500
 
 
 def _cpu_count() -> int:
@@ -238,12 +380,11 @@ def _forest_folds(folds: list, task: str, cfg: EvalConfig) -> list:
     shared = np.frombuffer(mmap.mmap(-1, 8 * max(sum(sizes), 1)))
     blocks = np.split(shared, np.cumsum(sizes))
     per_tree = [b.reshape(cfg.trees, fold.X_te.shape[0]) for b, fold in zip(blocks, folds)]
-    n_classes = [int(fold.y.max()) + 1 if task == CLASSIFICATION else 0 for fold in folds]
+    stack = _Stack.of(folds, task)
     units = [(f, t) for f in range(len(folds)) for t in range(cfg.trees)]
 
     def fit(share) -> None:
-        for f, t in share:
-            _fit_tree(folds[f], t, task, cfg.max_depth, n_classes[f], per_tree[f][t])
+        _fit_trees(stack, share, task, cfg.max_depth, per_tree)
 
     work = cfg.trees * sum(fold.X.shape[0] for fold in folds)
     workers = min(len(units), _cpu_count()) if work >= _FORK_MIN_WORK else 1
@@ -270,7 +411,7 @@ def _forest_folds(folds: list, task: str, cfg: EvalConfig) -> list:
                 os.kill(pid, signal.SIGKILL)
             with contextlib.suppress(ChildProcessError):
                 os.waitpid(pid, 0)
-    return [_combine(pt, task, c) for pt, c in zip(per_tree, n_classes)]
+    return [_combine(pt, task, c) for pt, c in zip(per_tree, stack.classes)]
 
 
 def _fork_child(fit, share) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +162,9 @@ def load_csv(path, task: str, label_column: str) -> Dataset:
         except StopIteration:
             raise DataError("empty CSV: missing header row") from None
         header = [h.strip() for h in header]
+        for name, count in Counter(header).items():
+            if count > 1:
+                raise DataError(f"column {name!r} appears {count} times in the header")
         if label_column not in header:
             raise DataError(f"label column {label_column!r} not in header {header}")
         label_idx = header.index(label_column)

@@ -419,3 +419,50 @@ def train_step_reference(agent, rng, *, gamma, lr, batch_size, encoder=None):
 
     _sgd_step(params, acc, lr)
     return total_loss / batch_size
+
+
+def grow_reference(X, y, idx, X_te, te, out, depth, max_depth, feat_rng, n_subset, task, n_classes):
+    """A CART tree grown depth first, one node at a time, as the package grew
+    it before it grew trees in lockstep: a node that can split draws its
+    candidate features from feat_rng, which is used for nothing else,
+    best_split_reference picks its split, and the left subtree grows before
+    the right. The rows te of X_te follow each split, and each leaf writes
+    its value to the ones that reach it in out. feat_rng may be None when
+    n_subset equals the number of features.
+    """
+    ys = y[idx]
+    if depth < max_depth and idx.shape[0] >= 2 and not (ys == ys[0]).all():
+        p = X.shape[1]
+        if n_subset < p:
+            feats = np.sort(feat_rng.choice(p, size=n_subset, replace=False))
+        else:
+            feats = np.arange(p)
+        split = best_split_reference(X, y, idx, feats, task, n_classes)
+        if split is not None:
+            f, thr = split
+            mask = X[idx, f] <= thr
+            if mask.any() and not mask.all():
+                go_left = X_te[te, f] <= thr
+                rest = (out, depth + 1, max_depth, feat_rng, n_subset, task, n_classes)
+                grow_reference(X, y, idx[mask], X_te, te[go_left], *rest)
+                grow_reference(X, y, idx[~mask], X_te, te[~go_left], *rest)
+                return
+    # A leaf predicts its most common class, the lowest on ties, or its mean label.
+    if task == "classification":
+        out[te] = float(np.bincount(ys.astype(int), minlength=n_classes).argmax())
+    else:
+        out[te] = float(ys.sum() / ys.shape[0])
+
+
+def tree_reference(X, y, X_te, seed, t, max_depth, task, n_classes):
+    """Tree t of a forest trained on (X, y) with model seed seed, grown alone
+    by grow_reference, and its predictions for X_te: a bootstrap sample and
+    then every node's candidate features drawn from one generator seeded by
+    (seed, t), with isqrt(p) candidates per node."""
+    n, p = X.shape
+    rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
+    sample = np.sort(rng.integers(0, n, size=n))
+    out = np.empty(X_te.shape[0])
+    te = np.arange(X_te.shape[0])
+    grow_reference(X, y, sample, X_te, te, out, 0, max_depth, rng, math.isqrt(p), task, n_classes)
+    return out

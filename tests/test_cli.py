@@ -363,6 +363,30 @@ def test_missing_label_column_exits_two(tmp_path, fast_config_path, capsys):
     capsys.readouterr()
 
 
+def test_a_label_named_twice_in_the_header_exits_two(tmp_path, fast_config_path, capsys):
+    csv_path = tmp_path / "data.csv"
+    rows = "".join(f"{i},{i % 3},{0.5 * i}\n" for i in range(40))
+    csv_path.write_text("x,label,label\n" + rows, encoding="utf-8")
+    code = main(
+        [
+            "train",
+            "--data",
+            str(csv_path),
+            "--task",
+            "reg",
+            "--label",
+            "label",
+            "--out",
+            str(tmp_path / "run"),
+            "--config",
+            fast_config_path,
+        ]
+    )
+    assert code == 2
+    assert "column 'label' appears 2 times" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_on_a_column_at_the_float_limit_exits_zero(tmp_path, fast_config_path, capsys):
     rng = np.random.default_rng(3)
     n = 60

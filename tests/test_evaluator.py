@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import best_split_reference, plug_in_mi
+from oracles import best_split_reference, grow_reference, plug_in_mi, tree_reference
 from tcto import evaluator
 from tcto.evaluator import (
     EvalConfig,
-    _best_split,
+    _best_splits,
+    _fit_trees,
+    _Fold,
     _forest,
-    _grow,
+    _Stack,
     evaluate,
     macro_f1,
     mutual_information,
@@ -91,7 +93,7 @@ def test_metrics_are_capped_at_one_and_reach_it_only_exactly(seed):
 @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.integers(2, 30),
+    sizes=st.lists(st.integers(2, 40), min_size=1, max_size=6),
     p=st.integers(1, 6),
     values=st.sampled_from(["tied", "normal", "huge"]),
     constant=st.booleans(),
@@ -100,12 +102,14 @@ def test_metrics_are_capped_at_one_and_reach_it_only_exactly(seed):
 )
 @settings(max_examples=150, deadline=None)
 def test_split_search_matches_the_per_feature_reference(
-    task, seed, n, p, values, constant, bootstrap, offset
+    task, seed, sizes, p, values, constant, bootstrap, offset
 ):
-    """Tied values, duplicated bootstrap rows, constant columns, two-row
-    nodes, +-1e300 magnitudes, where gains become inf or NaN, and labels
-    offset by 1e8, where the running variances cancel below zero."""
+    """One batch of nodes of mixed sizes, two-row nodes among them: tied
+    values, duplicated bootstrap rows, constant columns, +-1e300
+    magnitudes, where gains become inf or NaN, and labels offset by 1e8,
+    where the running variances cancel below zero."""
     rng = np.random.default_rng(seed)
+    n = 30
     # "huge" scales a random part of the rows by 1e300, so sums of squares
     # overflow part of the way along a sorted column.
     scale = np.where(rng.random(n) < 0.5, 1e300, 1.0) if values == "huge" else np.ones(n)
@@ -121,20 +125,83 @@ def test_split_search_matches_the_per_feature_reference(
     else:
         y = rng.normal(size=n) * scale + offset
         n_classes = 0
-    idx = np.sort(rng.integers(0, n, size=n)) if bootstrap else np.arange(n)
-    feats = np.sort(rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False))
-    assert _best_split(X, y, idx, feats, task, n_classes) == best_split_reference(
-        X, y, idx, feats, task, n_classes
-    )
+    # Without bootstrap a node has distinct rows, so at most n of them.
+    nodes = [
+        np.sort(rng.integers(0, n, size=size) if bootstrap else rng.permutation(n)[:size])
+        for size in sizes
+    ]
+    k = int(rng.integers(1, p + 1))
+    feats = np.array([np.sort(rng.choice(p, size=k, replace=False)) for _ in sizes])
+    # _best_splits reads X and y with their all-+inf pad row below.
+    padded_X = np.vstack([X, np.full((1, p), np.inf)])
+    padded_y = np.append(y, 0.0)
+    assert _best_splits(padded_X, padded_y, nodes, feats, task, n_classes) == [
+        best_split_reference(X, y, rows, f, task, n_classes) for rows, f in zip(nodes, feats)
+    ]
+
+
+def _folds(X, y, n_folds, seed):
+    """Each fold's training rows, labels and held-out rows, from a seeded
+    permutation as evaluate makes them, and each fold's model seed."""
+    fold_of = np.random.default_rng(seed).permutation(X.shape[0]) % n_folds
+    return [
+        _Fold(X[fold_of != f], y[fold_of != f], X[fold_of == f], seed + 101 * f)
+        for f in range(n_folds)
+    ]
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(6, 40),
+    p=st.integers(1, 6),
+    max_depth=st.integers(0, 8),
+    n_folds=st.integers(2, 3),
+    trees=st.integers(1, 4),
+    workers=st.integers(1, 3),
+    lone_class=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_lockstep_trees_match_the_reference_trees(
+    task, seed, n, p, max_depth, n_folds, trees, workers, lone_class
+):
+    """Every tree of a share, grown in lockstep with the share's other
+    trees, predicts what the depth-first reference tree predicts alone.
+    With lone_class one row holds the top class, so a fold that holds it
+    out lacks it and the share mixes class counts; p = 1 takes every
+    feature at every node."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    if task == CLASSIFICATION:
+        y = (X[:, 0] + 0.5 * rng.normal(size=n) > 0).astype(float)
+        if lone_class:
+            y[0] = 2.0
+    else:
+        y = X[:, 0] - X[:, -1] ** 2 + 0.1 * rng.normal(size=n)
+    folds = _folds(X, y, n_folds, seed % 1000)
+    stack = _Stack.of(folds, task)
+    per_tree = [np.full((trees, fold.X_te.shape[0]), np.nan) for fold in folds]
+    units = [(f, t) for f in range(n_folds) for t in range(trees)]
+    share = units[int(rng.integers(workers)) :: workers]
+    _fit_trees(stack, share, task, max_depth, per_tree)
+    for f, t in units:
+        fold = folds[f]
+        if (f, t) in share:
+            want = tree_reference(
+                fold.X, fold.y, fold.X_te, fold.seed, t, max_depth, task, stack.classes[f]
+            )
+            assert np.array_equal(per_tree[f][t], want)
+        else:
+            assert np.isnan(per_tree[f][t]).all()
 
 
 def _single_tree(X, y, task, max_depth):
-    """One tree's predictions on X, grown by _grow on every row with every feature."""
+    """One reference tree's predictions on X, grown on every row with every feature."""
     n = X.shape[0]
     n_classes = int(y.max()) + 1 if task == CLASSIFICATION else 0
     out = np.empty(n)
     rows = np.arange(n)
-    _grow(X, y, rows, X, rows, out, 0, max_depth, None, X.shape[1], task, n_classes)
+    grow_reference(X, y, rows, X, rows, out, 0, max_depth, None, X.shape[1], task, n_classes)
     return out
 
 
@@ -172,11 +239,12 @@ def test_forest_regression_averages_its_trees():
     X = rng.normal(size=(25, 2))
     y = X[:, 0] * 2.0
     cfg = EvalConfig(trees=3, max_depth=4)
-    per_tree = np.empty((cfg.trees, 25))
-    for t, out in enumerate(per_tree):
-        tree_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t]))
-        sample = np.sort(tree_rng.integers(0, 25, size=25))
-        _grow(X, y, sample, X, np.arange(25), out, 0, 4, tree_rng, math.isqrt(2), REGRESSION, 0)
+    per_tree = np.array(
+        [
+            tree_reference(X, y, X, cfg.seed, t, cfg.max_depth, REGRESSION, 0)
+            for t in range(cfg.trees)
+        ]
+    )
     assert np.unique(per_tree, axis=0).shape[0] == cfg.trees
     assert np.array_equal(_forest(X, y, X, REGRESSION, cfg), per_tree.mean(axis=0))
 
@@ -341,19 +409,25 @@ def test_the_score_does_not_depend_on_the_worker_count(workers, forks, task, fol
     assert scores[1] == scores[0] and scores[2] == scores[0]
 
 
-def test_small_fits_stay_in_process_and_a_test_split_sized_one_forks(monkeypatch, forks):
+def test_fits_below_the_cut_stay_in_process_and_one_above_it_forks(monkeypatch, forks):
     monkeypatch.setattr(evaluator, "_cpu_count", lambda: 2)
+    cfg = EvalConfig(folds=3, trees=10, max_depth=5)
     X, y = _three_class(n=12)
     evaluate(X, y, CLASSIFICATION, EvalConfig(folds=2, trees=2, max_depth=3))
+    # 10 trees x 3 folds x 48 training rows: 1440 tree-rows, under the cut.
+    X, y = _three_class(n=72)
+    evaluate(X, y, CLASSIFICATION, cfg)
     assert forks == []
-    X, y = _three_class(n=60)
-    evaluate(X, y, CLASSIFICATION, EvalConfig(folds=3, trees=10, max_depth=5))
+    # 1560 tree-rows, over it.
+    X, y = _three_class(n=78)
+    evaluate(X, y, CLASSIFICATION, cfg)
     assert len(forks) == 1
     _assert_no_children()
 
 
 def test_no_fork_while_another_thread_runs(forks):
-    X, y = _three_class(n=60)
+    # 1800 tree-rows, a fit that forks when no other thread runs.
+    X, y = _three_class(n=90)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
@@ -368,14 +442,14 @@ def test_no_fork_while_another_thread_runs(forks):
 
 def test_a_fit_whose_children_succeed_grows_only_its_own_share(workers, forks, monkeypatch):
     X, y = _three_class()
-    parent, fit_tree, in_parent = os.getpid(), evaluator._fit_tree, []
+    parent, fit_trees, in_parent = os.getpid(), evaluator._fit_trees, []
 
-    def count_in_parent(*args):
+    def count_in_parent(stack, share, *args):
         if os.getpid() == parent:
-            in_parent.append(args[1])
-        fit_tree(*args)
+            in_parent.extend(share)
+        fit_trees(stack, share, *args)
 
-    monkeypatch.setattr(evaluator, "_fit_tree", count_in_parent)
+    monkeypatch.setattr(evaluator, "_fit_trees", count_in_parent)
     workers(2)
     evaluate(X, y, CLASSIFICATION, EvalConfig(folds=3, trees=4, max_depth=4))
     assert len(forks) == 1
@@ -393,30 +467,33 @@ def test_a_failed_child_has_its_trees_grown_in_the_parent(workers, forks, monkey
     cfg = EvalConfig(folds=3, trees=4, max_depth=4)
     workers(1)
     expected = evaluate(X, y, CLASSIFICATION, cfg)
-    parent, fit_tree = os.getpid(), evaluator._fit_tree
+    parent, fit_trees, in_parent = os.getpid(), evaluator._fit_trees, []
 
-    def fail_in_children(*args):
+    def fail_in_children(stack, share, *args):
         if os.getpid() != parent:
             die()
-        fit_tree(*args)
+        in_parent.extend(share)
+        fit_trees(stack, share, *args)
 
-    monkeypatch.setattr(evaluator, "_fit_tree", fail_in_children)
+    monkeypatch.setattr(evaluator, "_fit_trees", fail_in_children)
     workers(2)
     assert evaluate(X, y, CLASSIFICATION, cfg) == expected
     assert len(forks) == 1
+    # The parent grew its own 6 units and then the 6 of the child that died.
+    assert sorted(in_parent) == sorted((f, t) for f in range(3) for t in range(4))
     _assert_no_children()
 
 
 def test_no_child_outlives_an_exception_in_the_parents_share(workers, forks, monkeypatch):
     X, y = _three_class()
-    parent, fit_tree = os.getpid(), evaluator._fit_tree
+    parent, fit_trees = os.getpid(), evaluator._fit_trees
 
     def interrupt_the_parent(*args):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        fit_tree(*args)
+        fit_trees(*args)
 
-    monkeypatch.setattr(evaluator, "_fit_tree", interrupt_the_parent)
+    monkeypatch.setattr(evaluator, "_fit_trees", interrupt_the_parent)
     workers(3)
     with pytest.raises(KeyboardInterrupt):
         evaluate(X, y, CLASSIFICATION, EvalConfig(folds=3, trees=4, max_depth=4))

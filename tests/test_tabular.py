@@ -233,6 +233,24 @@ def test_load_csv_errors(tmp_path):
         load_csv(_write(tmp_path, "a,label\n1,x\n"), CLASSIFICATION, "label")
 
 
+@pytest.mark.parametrize(
+    "header,name,count",
+    [
+        ("x,label,label", "label", 2),
+        ("a,a,label", "a", 2),
+        ("a,label,a,a", "a", 3),
+        (" a,label,a ", "a", 2),
+    ],
+    ids=["label-twice", "feature-twice", "feature-thrice", "spaced-feature-twice"],
+)
+def test_load_csv_refuses_a_header_that_names_a_column_twice(tmp_path, header, name, count):
+    width = header.count(",") + 1
+    rows = "".join(",".join(str(i + j) for j in range(width)) + "\n" for i in range(4))
+    path = _write(tmp_path, header + "\n" + rows)
+    with pytest.raises(DataError, match=f"column '{name}' appears {count} times"):
+        load_csv(path, REGRESSION, "label")
+
+
 # -- binning and splitting ------------------------------------------------------
 
 
