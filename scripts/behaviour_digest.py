@@ -1,17 +1,29 @@
 #!/usr/bin/env python3
-"""Print one behaviour digest per (task, config) of a short in-process run.
+"""Print two behaviour digests per (task, config) of a short in-process run.
 
 Each run trains a Pipeline and applies its policy on tcto.synth data, for
 regression and for a two-class version of the same labels (above or below
 their median), with 5 x 12 explore steps, 2 apply episodes, 2 folds, 2
 trees and depth 3, and once with the benchmark's forest size: 3 folds, 10
 trees and depth 5, whose training-split fits are big enough to be spread
-over processes. A digest is the sha256 over every step record, both
-phases' best roadmaps and scores, and the JSON of Pipeline.checkpoint().
-Two checkouts behave the same on these runs when their outputs match:
+over processes. Each run prints two lines:
+
+- `full`: the sha256 over every step record, both phases' best roadmaps
+  and scores, and the JSON of Pipeline.checkpoint(). It is the same only
+  when every learned weight has the same bits.
+- `search`: the sha256 over every step record without its `losses`, both
+  phases' best roadmaps and scores, and no checkpoint. It covers what the
+  search did: every decision, column, score, reward and pruning. A change
+  that moves learned weights in their last bits, such as a different
+  summation order in the learning step, changes `full` but should leave
+  `search` as it was.
+
+Two checkouts behave the same on these runs when their outputs match,
+and search the same when their `search` lines match:
 
     PYTHONPATH=src python3 scripts/behaviour_digest.py > a.txt
     diff a.txt b.txt
+    diff <(grep search a.txt) <(grep search b.txt)
 """
 
 import hashlib
@@ -52,22 +64,27 @@ def datasets() -> dict:
     return {"reg": reg, "cls": cls}
 
 
-def digest(data, cfg: RunConfig) -> str:
+def digests(data, cfg: RunConfig) -> tuple:
+    """(full, search) sha256 digests of one train and apply."""
     pipe = Pipeline(data, cfg)
-    h = hashlib.sha256()
+    full, search = hashlib.sha256(), hashlib.sha256()
     for report in (pipe.train(), pipe.apply_policy()):
         for rec in report.records:
-            h.update(record_to_json(rec).encode("utf-8"))
-        h.update(report.best_roadmap_json)
-        h.update(repr((report.best_score, report.test_score)).encode("ascii"))
-    h.update(json.dumps(pipe.checkpoint(), sort_keys=True).encode("ascii"))
-    return h.hexdigest()
+            full.update(record_to_json(rec).encode("utf-8"))
+            search.update(record_to_json(replace(rec, losses={})).encode("utf-8"))
+        for h in (full, search):
+            h.update(report.best_roadmap_json)
+            h.update(repr((report.best_score, report.test_score)).encode("ascii"))
+    full.update(json.dumps(pipe.checkpoint(), sort_keys=True).encode("ascii"))
+    return full.hexdigest(), search.hexdigest()
 
 
 def main() -> int:
     for task, data in datasets().items():
         for name, overrides in CONFIGS.items():
-            print(f"{task} {name} {digest(data, replace(BASE, **overrides))}", flush=True)
+            full, search = digests(data, replace(BASE, **overrides))
+            print(f"{task} {name} full {full}", flush=True)
+            print(f"{task} {name} search {search}", flush=True)
     return 0
 
 

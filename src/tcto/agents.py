@@ -99,12 +99,18 @@ def push_transition(agent: Agent, t: Transition) -> None:
     agent.buffer.append(t)
 
 
-def _max_target_q(agent: Agent, candidates) -> float:
-    best = -np.inf
-    for x in candidates:
-        q = forward(agent.target, x)
-        best = max(best, float(np.max(q)))
-    return best
+def _fill_target_q(agent: Agent, batch) -> None:
+    """Memoise max_target_q for the transitions of batch that have next
+    candidates and no memo yet, in one target-network pass over all of
+    their candidates."""
+    todo = [t for t in batch if t.next_candidates and t.max_target_q is None]
+    if not todo:
+        return
+    best = forward(agent.target, np.stack([x for t in todo for x in t.next_candidates]))
+    sizes = [len(t.next_candidates) for t in todo]
+    starts = np.cumsum(sizes) - sizes
+    for t, q in zip(todo, np.maximum.reduceat(best.max(axis=1), starts)):
+        t.max_target_q = float(q)
 
 
 def train_step(
@@ -120,50 +126,47 @@ def train_step(
 
     Returns the pre-update mean loss, or None while the buffer is short.
     When an encoder is given, transitions carrying state_ctx are re-encoded
-    through it and the loss gradient also updates the encoder parameters;
-    transitions without state_ctx add nothing to the encoder's gradient.
-    Each transition's gradients, scaled by 1/batch_size, go straight into
-    the step's GradBuffers, so SGD touches only the arrays the batch
-    reached. A transition's target max-Q is computed once per target
-    network and kept in max_target_q until the next sync_target.
+    through it, all in one encoder pass, and the loss gradient also updates
+    the encoder parameters; transitions without state_ctx add nothing to
+    the encoder's gradient. The minibatch goes through the value network
+    as one (batch_size, d) array, and each array's gradient of the mean
+    loss goes into the step's GradBuffers at once, so SGD touches only the
+    arrays the batch reached. A transition's target max-Q is computed once
+    per target network and kept in max_target_q until the next
+    sync_target.
     """
     if len(agent.buffer) < batch_size:
         return None
     picks = rng.choice(len(agent.buffer), size=batch_size, replace=False)
     batch = [agent.buffer[int(i)] for i in picks]
 
-    scale = 1.0 / batch_size
-    net_grads = GradBuffers(agent.prediction.params, scale)
-    enc_grads = None if encoder is None else GradBuffers(encoder.params, scale)
-    total_loss = 0.0
-    for t in batch:
-        state_cache = None
-        if encoder is not None and t.state_ctx is not None:
-            x, state_cache = enc.state_forward(encoder, *t.state_ctx)
-        else:
-            x = t.state_input
-        out, cache = forward_cache(agent.prediction, x)
-        a = int(t.action) if agent.output_dim > 1 else 0
-        q = float(out[a])
-        y = t.reward
-        if t.next_candidates:
-            if t.max_target_q is None:
-                t.max_target_q = _max_target_q(agent, t.next_candidates)
-            y += gamma * t.max_target_q
-        diff = q - y
-        total_loss += diff * diff
-        dy = np.zeros_like(out)
-        dy[a] = 2.0 * diff
-        grads, dx = backprop(agent.prediction, cache, dy)
-        for i, g in enumerate(grads):
-            net_grads.add(i, g)
-        if state_cache is not None:
-            enc.state_backward(encoder, state_cache, dx, enc_grads)
-
+    x = np.stack([t.state_input for t in batch])
+    encoded = []
+    if encoder is not None:
+        encoded = [k for k, t in enumerate(batch) if t.state_ctx is not None]
+    if encoded:
+        contexts = [batch[k].state_ctx for k in encoded]
+        x[encoded], state_cache = enc.state_forward(encoder, contexts)
+    out, cache = forward_cache(agent.prediction, x)
+    _fill_target_q(agent, batch)
+    y = np.array(
+        [t.reward + gamma * t.max_target_q if t.next_candidates else t.reward for t in batch]
+    )
+    rows = np.arange(batch_size)
+    actions = [t.action for t in batch] if agent.output_dim > 1 else 0
+    diff = out[rows, actions] - y
+    dy = np.zeros_like(out)
+    dy[rows, actions] = (2.0 / batch_size) * diff
+    grads, dx = backprop(agent.prediction, cache, dy)
+    net_grads = GradBuffers(agent.prediction.params)
+    for i, g in enumerate(grads):
+        net_grads.add(i, g)
     net_grads.sgd_step(lr)
-    if enc_grads is not None:
+    if encoded:
+        enc_grads = GradBuffers(encoder.params)
+        enc.state_backward(encoder, state_cache, dx[encoded], enc_grads)
         enc_grads.sgd_step(lr)
-    return total_loss / batch_size
+    return float(diff @ diff) / batch_size
 
 
 def forget_target_q(agent: Agent) -> None:

@@ -6,8 +6,9 @@ relation rows, each derived from the snapshot's parents on first use.
 Two graph-convolution layers with one weight matrix per operation relation
 plus an explicit self-loop relation. Messages flow along incoming edges
 (alive parents), averaged per relation, ReLU between layers and a linear
-second layer. Backprop is manual so the value networks can train the
-encoder end to end.
+second layer. Both passes take a batch of snapshots, encoded as one
+block-diagonal graph. Backprop is manual so the value networks can train
+the encoder end to end.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .nnsub import GradBuffers, glorot_uniform
+from .nnsub import GradBuffers, glorot_uniform, matmul, matmul_t
 from .opset import N_OPERATIONS
 from .tabular import STAT_DIM, read_only
 
@@ -58,15 +59,16 @@ class GraphSnapshot:
         return read_only(p)
 
     @cached_property
-    def rows_by_relation(self) -> tuple:
-        """(relation, rows) pairs, relations ascending, for the nodes with
-        at least one alive parent."""
-        out = {}
-        for i, parents in enumerate(self.parents):
-            rel = int(self.relations[i])
-            if rel >= 0 and parents:
-                out.setdefault(rel, []).append(i)
-        return tuple((rel, read_only(np.array(rows))) for rel, rows in sorted(out.items()))
+    def relation_rows(self) -> tuple:
+        """(rows, relations) of the nodes with at least one alive parent,
+        ordered by relation and ascending within one."""
+        rows = np.array(
+            [i for i, parents in enumerate(self.parents) if parents and self.relations[i] >= 0],
+            dtype=int,
+        )
+        rels = np.asarray(self.relations, dtype=int)[rows]
+        order = np.argsort(rels, kind="stable")
+        return read_only(rows[order]), read_only(rels[order])
 
 
 def squash_stats(stats) -> np.ndarray:
@@ -131,40 +133,48 @@ class RGCNParams:
         return [w for layer in self.layers for w in layer]
 
 
-def rgcn_forward(graph: GraphSnapshot, params: RGCNParams):
-    """Returns (node embeddings, cache) for the alive subgraph."""
-    p = graph.message_operator
-    rows_by_rel = graph.rows_by_relation
+def rgcn_forward(graphs, params: RGCNParams):
+    """Node embeddings of a batch of snapshots, and a cache for rgcn_backward.
+
+    The batch is one block-diagonal graph: the snapshots' rows are stacked
+    in batch order, each snapshot's message operator acts on its own row
+    block, and each layer takes one product per relation present in the
+    batch, over that relation's rows gathered into one contiguous span. A
+    batch of one gives the bits of that snapshot encoded alone.
+    """
+    graphs = tuple(graphs)
+    starts = _row_starts(graphs)
+    order, spans = _relation_spans(graphs, starts)
     self_idx = params.n_relations
-    h = np.asarray(graph.stats, dtype=float)
+    h = np.concatenate([np.asarray(g.stats, dtype=float) for g in graphs])
     if h.shape[1] != params.dims[0]:
         raise ValueError(f"stat dim {h.shape[1]} does not match encoder {params.dims[0]}")
     last = len(params.layers) - 1
     inputs, msgs_all, pre = [], [], []
     for l, layer in enumerate(params.layers):
-        msgs = p @ h
-        z = h @ layer[self_idx]
-        for rel, rows in rows_by_rel:
-            z[rows] += msgs[rows] @ layer[rel]
+        msgs = _per_block(graphs, starts, h, transpose=False)[order]
+        z = matmul(h, layer[self_idx])
+        if spans:
+            z[order] += np.concatenate([matmul(msgs[a:b], layer[rel]) for rel, a, b in spans])
         inputs.append(h)
         msgs_all.append(msgs)
         pre.append(z)
         h = z if l == last else np.maximum(z, 0.0)
-    cache = (graph, inputs, msgs_all, pre)
+    cache = (graphs, starts, order, spans, inputs, msgs_all, pre)
     return h, cache
 
 
 def rgcn_backward(params: RGCNParams, cache, d_out: np.ndarray, grads: GradBuffers | None = None):
     """Weight gradients of a scalar loss, given d(loss)/d(embeddings).
 
-    With grads, a GradBuffers whose params begin with params.params, they
-    are added into it: the self-loop weights and the relations present in
-    the snapshot, nothing else. Without, the gradients are returned as a
-    list aligned with params.params.
+    Each weight's gradient sums over every node of the batch. With grads,
+    a GradBuffers whose params begin with params.params, they are added
+    into it: the self-loop weights and the relations present in the batch,
+    nothing else. Without, the gradients are returned as a list aligned
+    with params.params.
     """
     out = GradBuffers(params.params) if grads is None else grads
-    graph, inputs, msgs_all, pre = cache
-    p, rows_by_rel = graph.message_operator, graph.rows_by_relation
+    graphs, starts, order, spans, inputs, msgs_all, pre = cache
     width = params.n_relations + 1
     self_idx = params.n_relations
     last = len(params.layers) - 1
@@ -173,15 +183,49 @@ def rgcn_backward(params: RGCNParams, cache, d_out: np.ndarray, grads: GradBuffe
         dz = da if l == last else da * (pre[l] > 0.0)
         layer = params.layers[l]
         h, msgs = inputs[l], msgs_all[l]
-        out.add(l * width + self_idx, h.T @ dz)
-        for rel, rows in rows_by_rel:
-            out.add(l * width + rel, msgs[rows].T @ dz[rows])
+        dz_rel = dz[order]
+        out.add(l * width + self_idx, matmul_t(h, dz))
+        for rel, a, b in spans:
+            out.add(l * width + rel, matmul_t(msgs[a:b], dz_rel[a:b]))
         if l > 0:
-            dmsgs = np.zeros_like(msgs)
-            for rel, rows in rows_by_rel:
-                dmsgs[rows] = dz[rows] @ layer[rel].T
-            da = dz @ layer[self_idx].T + p.T @ dmsgs
+            dmsgs = np.zeros((h.shape[0], layer[self_idx].shape[0]))
+            if spans:
+                dmsgs[order] = np.concatenate(
+                    [matmul(dz_rel[a:b], layer[rel].T) for rel, a, b in spans]
+                )
+            da = matmul(dz, layer[self_idx].T) + _per_block(graphs, starts, dmsgs, transpose=True)
     return out.dense() if grads is None else None
+
+
+def _row_starts(graphs) -> list:
+    """Each snapshot's first row in the stacked batch, then the row count."""
+    starts = [0]
+    for g in graphs:
+        starts.append(starts[-1] + g.n_nodes)
+    return starts
+
+
+def _relation_spans(graphs, starts):
+    """The stacked rows that receive messages, grouped by relation, and
+    (relation, start, stop) per relation present, relations ascending:
+    order[start:stop] are that relation's rows, ascending."""
+    rows = np.concatenate([g.relation_rows[0] + a for g, a in zip(graphs, starts)])
+    rels = np.concatenate([g.relation_rows[1] for g in graphs])
+    by_rel = np.argsort(rels, kind="stable")
+    order, rels = rows[by_rel], rels[by_rel]
+    first = np.flatnonzero(np.diff(rels, prepend=-1))
+    bounds = [*first.tolist(), len(rels)]
+    return order, list(zip(rels[first].tolist(), bounds, bounds[1:]))
+
+
+def _per_block(graphs, starts, x, transpose):
+    """Each snapshot's message operator P (or P.T) times its own row block of x."""
+    return np.concatenate(
+        [
+            (g.message_operator.T if transpose else g.message_operator) @ x[a:b]
+            for g, a, b in zip(graphs, starts, starts[1:])
+        ]
+    )
 
 
 # -- composite agent states ----------------------------------------------
@@ -238,38 +282,54 @@ def op_one_hot_by_id(op_id: int) -> np.ndarray:
     return v
 
 
-def state_forward(encoder: Encoder, graph: GraphSnapshot, spec: StateSpec):
-    h, rcache = rgcn_forward(graph, encoder.rgcn)
-    parts = [cluster_rep(h, g) for g in spec.groups]
-    if spec.op_id is not None:
-        parts.append(encoder.op_table[spec.op_id])
-    cache = (graph, spec, rcache, h.shape)
-    return np.concatenate(parts), cache
+def state_forward(encoder: Encoder, contexts):
+    """States of a batch of (GraphSnapshot, StateSpec) pairs, one row each.
+
+    One encoder pass covers every snapshot of the batch. The specs share
+    one layout: the same number of groups, and an op_id on all or none.
+    Returns the (batch, width) states and a cache for state_backward.
+    """
+    graphs = [g for g, _ in contexts]
+    specs = [s for _, s in contexts]
+    n_groups = len(specs[0].groups)
+    with_op = specs[0].op_id is not None
+    if any(len(s.groups) != n_groups or (s.op_id is not None) != with_op for s in specs):
+        raise ValueError("the states of a batch must share one layout")
+    members = [(a, g) for a, s in zip(_row_starts(graphs), specs) for g in s.groups]
+    sizes = np.array([len(g) for _, g in members])
+    if not sizes.all():
+        raise ValueError("cannot pool an empty group")
+    h, rcache = rgcn_forward(graphs, encoder.rgcn)
+    # pool_t[:, k] averages group k's rows, so pooling and its backward
+    # pass are one product each.
+    pool_t = np.zeros((h.shape[0], len(members)))
+    rows = [a + p for a, g in members for p in g]
+    groups = np.repeat(np.arange(len(members)), sizes)
+    np.add.at(pool_t, (rows, groups), np.repeat(1.0 / sizes, sizes))
+    x = matmul_t(pool_t, h).reshape(len(specs), -1)
+    op_ids = [s.op_id for s in specs] if with_op else None
+    if with_op:
+        x = np.concatenate([x, encoder.op_table[op_ids]], axis=1)
+    return x, (pool_t, rcache, op_ids, x.shape)
 
 
 def state_backward(encoder: Encoder, cache, dx: np.ndarray, grads: GradBuffers | None = None):
-    """Split dx back onto the pooled groups and the op_table row.
+    """Split dx, one row per state, back onto the pooled groups and the
+    op_table rows.
 
     With grads, a GradBuffers over encoder.params, the gradients are added
     into it; without, they are returned as a list aligned with
     encoder.params.
     """
-    graph, spec, rcache, h_shape = cache
-    m, d = h_shape
-    dh = np.zeros((m, d))
-    offset = 0
-    for g in spec.groups:
-        seg = dx[offset : offset + d]
-        dh[list(g)] += seg / len(g)
-        offset += d
-    op_seg = None
-    if spec.op_id is not None:
-        op_seg = dx[offset : offset + d]
-        offset += d
-    if offset != dx.shape[0]:
-        raise ValueError("dx length does not match the state layout")
+    pool_t, rcache, op_ids, shape = cache
+    dx = np.asarray(dx, dtype=float)
+    if dx.shape != shape:
+        raise ValueError("dx does not match the state layout")
+    d = encoder.out_dim
+    pooled_width = shape[1] - (0 if op_ids is None else d)
+    dh = matmul(pool_t, dx[:, :pooled_width].reshape(-1, d))
     out = GradBuffers(encoder.params) if grads is None else grads
     rgcn_backward(encoder.rgcn, rcache, dh, out)
-    if op_seg is not None:
-        out.add(len(encoder.rgcn.params), op_seg, rows=spec.op_id)
+    if op_ids is not None:
+        out.add(len(encoder.rgcn.params), dx[:, pooled_width:], rows=op_ids)
     return out.dense() if grads is None else None

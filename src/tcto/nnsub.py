@@ -5,7 +5,7 @@ of a scalar loss, SGD updates, and parameter copies between twin networks.
 
 Every trained object (a DenseNet here, the graph encoder in encoder.py)
 exposes its live arrays as one flat, ordered ``params`` list. An SGD step
-adds each example's gradients into a GradBuffers over such a list, which
+adds its gradients into a GradBuffers over such a list, which
 keeps a buffer only for the arrays that received a gradient and updates
 only those, so one set of helpers serves the value networks and the
 encoder alike.
@@ -51,6 +51,43 @@ def glorot_uniform(d_in: int, d_out: int, rng: np.random.Generator) -> np.ndarra
     return rng.uniform(-limit, limit, size=(d_in, d_out))
 
 
+# OpenBLAS spreads one gemm over all of its threads once m * n * k passes
+# 4 * 65536, and its idle threads then spin for a while on CPUs that the
+# evaluator's forked children need. Products over one transition mostly
+# stay below that size, products over a whole minibatch do not, so batch
+# products go through matmul and matmul_t, which cut them into row blocks
+# that stay below it. Every row of matmul's result has the bits of the
+# uncut product.
+_ONE_THREAD_MNK = 4 * 65536
+
+
+def _row_blocks(rows: int, width: int) -> list:
+    """Even (start, stop) row blocks with rows * width <= _ONE_THREAD_MNK."""
+    count = -(-rows * width // _ONE_THREAD_MNK)
+    bounds = [rows * i // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w, taken over row blocks of x small enough for one BLAS thread."""
+    width = x.shape[1] * w.shape[1]
+    if x.shape[0] * width <= _ONE_THREAD_MNK:
+        return x @ w
+    return np.concatenate([x[a:b] @ w for a, b in _row_blocks(x.shape[0], width)])
+
+
+def matmul_t(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x.T @ y, summed over row blocks small enough for one BLAS thread."""
+    width = x.shape[1] * y.shape[1]
+    if x.shape[0] * width <= _ONE_THREAD_MNK:
+        return x.T @ y
+    (a, b), *rest = _row_blocks(x.shape[0], width)
+    out = x[a:b].T @ y[a:b]
+    for a, b in rest:
+        out += x[a:b].T @ y[a:b]
+    return out
+
+
 def forward(net: DenseNet, x) -> np.ndarray:
     y, _ = forward_cache(net, x)
     return y
@@ -69,7 +106,7 @@ def forward_cache(net: DenseNet, x):
     pre = []
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w + b
+        z = matmul(a, w) + b
         pre.append(z)
         a = z if i == last else np.maximum(z, 0.0)
         activations.append(a)
@@ -90,9 +127,9 @@ def backprop(net: DenseNet, cache, dy):
     last = len(net.weights) - 1
     for i in range(last, -1, -1):
         dz = da if i == last else da * (pre[i] > 0.0)
-        grads[2 * i] = activations[i].T @ dz
+        grads[2 * i] = matmul_t(activations[i], dz)
         grads[2 * i + 1] = dz.sum(axis=0)
-        da = dz @ net.weights[i].T
+        da = matmul(dz, net.weights[i].T)
     return grads, (da[0] if squeeze else da)
 
 
@@ -112,14 +149,15 @@ class GradBuffers:
         self.buffers: dict = {}
 
     def add(self, i: int, g, rows=None) -> None:
-        """buffer[i] += scale * g, or buffer[i][rows] += scale * g."""
+        """buffer[i] += scale * g, or buffer[i][rows] += scale * g, where a
+        row listed twice gets both of its rows of g, in order."""
         buf = self.buffers.get(i)
         if buf is None:
             buf = self.buffers[i] = np.zeros_like(self.params[i])
         if rows is None:
             buf += self.scale * g
         else:
-            buf[rows] += self.scale * g
+            np.add.at(buf, rows, self.scale * g)
 
     def dense(self) -> list:
         """Every gradient aligned with params, zeros where none was added."""

@@ -97,6 +97,11 @@ class RunConfig:
             raise ConfigError("learning_rate must be positive")
         if self.hidden_size < 1 or self.batch_size < 1 or self.target_sync_every < 1:
             raise ConfigError("hidden_size, batch_size, target_sync_every must be >= 1")
+        if self.batch_size > ag.BUFFER_CAPACITY:
+            raise ConfigError(
+                f"batch_size must be <= {ag.BUFFER_CAPACITY}, the replay buffer's "
+                f"capacity, or no agent ever trains; got {self.batch_size}"
+            )
 
 
 # The evaluator's keys are EvalConfig's fields, its seed named apart from the run's.
@@ -535,7 +540,7 @@ class Pipeline:
         graph = enc.snapshot_from_roadmap(roadmap)
         h = graph.stats
         if self.cfg.use_rgcn:
-            h, _ = enc.rgcn_forward(graph, self.encoder.rgcn)
+            h, _ = enc.rgcn_forward([graph], self.encoder.rgcn)
             # Clustering squares h, so its squares must be finite too.
             self._refuse_non_finite("the node embeddings", [(h * h).sum()])
         groups = cluster_nodes(

@@ -2,10 +2,13 @@
 
 Everything here is written independently of the code under test: plain
 Python loops, dict counting and math-module arithmetic wherever possible,
-so that a bug in the package cannot hide inside its own oracle. The one
-exception is train_step_reference, which reuses the package's forward
-passes and backprop and checks the gradient accumulation, the encoder's
-backward pass and the target max-Q memo of agents.train_step.
+so that a bug in the package cannot hide inside its own oracle. The
+exceptions are the two train_step references: train_step_reference
+reuses the package's dense forward pass and backprop one transition at a
+time, with its own per-snapshot encoder passes, and checks the batching
+and the target max-Q memo of agents.train_step to rounding;
+dense_train_step_reference reuses its batched passes too and checks its
+gradient buffers bit for bit.
 """
 
 import itertools
@@ -341,9 +344,41 @@ def _max_target_q_reference(agent, candidates):
     return best
 
 
+def _rows_by_relation(graph):
+    """(relation, rows) pairs, relations ascending, for the nodes with at
+    least one alive parent."""
+    out = {}
+    for i, parents in enumerate(graph.parents):
+        rel = int(graph.relations[i])
+        if rel >= 0 and parents:
+            out.setdefault(rel, []).append(i)
+    return [(rel, np.array(rows)) for rel, rows in sorted(out.items())]
+
+
+def rgcn_forward_reference(graph, params):
+    """The package's RGCN forward pass over one snapshot, as it was before
+    it took batches: the bits a batch of one must reproduce."""
+    p = graph.message_operator
+    rows_by_rel = _rows_by_relation(graph)
+    self_idx = params.n_relations
+    h = np.asarray(graph.stats, dtype=float)
+    last = len(params.layers) - 1
+    inputs, msgs_all, pre = [], [], []
+    for l, layer in enumerate(params.layers):
+        msgs = p @ h
+        z = h @ layer[self_idx]
+        for rel, rows in rows_by_rel:
+            z[rows] += msgs[rows] @ layer[rel]
+        inputs.append(h)
+        msgs_all.append(msgs)
+        pre.append(z)
+        h = z if l == last else np.maximum(z, 0.0)
+    return h, (graph, inputs, msgs_all, pre)
+
+
 def _rgcn_backward_reference(params, cache, d_out):
     graph, inputs, msgs_all, pre = cache
-    p, rows_by_rel = graph.message_operator, graph.rows_by_relation
+    p, rows_by_rel = graph.message_operator, _rows_by_relation(graph)
     width = params.n_relations + 1
     self_idx = params.n_relations
     grads = [np.zeros_like(w) for w in params.params]
@@ -362,8 +397,16 @@ def _rgcn_backward_reference(params, cache, d_out):
     return grads
 
 
+def _state_forward_reference(encoder, graph, spec):
+    h, rcache = rgcn_forward_reference(graph, encoder.rgcn)
+    parts = [h[list(g)].mean(axis=0) for g in spec.groups]
+    if spec.op_id is not None:
+        parts.append(encoder.op_table[spec.op_id])
+    return np.concatenate(parts), (spec, rcache, h.shape)
+
+
 def _state_backward_reference(encoder, cache, dx):
-    graph, spec, rcache, h_shape = cache
+    spec, rcache, h_shape = cache
     m, d = h_shape
     dh = np.zeros((m, d))
     offset = 0
@@ -381,11 +424,13 @@ def _state_backward_reference(encoder, cache, dx):
 
 
 def train_step_reference(agent, rng, *, gamma, lr, batch_size, encoder=None):
-    """agents.train_step in its dense form: every transition allocates a
-    zero gradient for every parameter, the encoder's backward pass returns
-    its full list (with the layer-0 input gradient nobody reads), all of it
-    is added into a full accumulator, SGD updates every array, and each
-    target max-Q is recomputed from the target net."""
+    """agents.train_step one transition at a time, as it was before it
+    took whole minibatches: each transition has its own encoder pass,
+    forward pass and backprop, allocates a zero gradient for every
+    parameter, and adds them all into a full accumulator; SGD updates
+    every array, and each target max-Q is recomputed from the target net.
+    Its rounding is that of the per-transition loop, so the batched step
+    matches it to rounding, not bit for bit."""
     if len(agent.buffer) < batch_size:
         return None
     picks = rng.choice(len(agent.buffer), size=batch_size, replace=False)
@@ -399,7 +444,7 @@ def train_step_reference(agent, rng, *, gamma, lr, batch_size, encoder=None):
     for t in batch:
         state_cache = None
         if encoder is not None and t.state_ctx is not None:
-            x, state_cache = enc.state_forward(encoder, *t.state_ctx)
+            x, state_cache = _state_forward_reference(encoder, *t.state_ctx)
         else:
             x = t.state_input
         out, cache = forward_cache(agent.prediction, x)
@@ -419,6 +464,53 @@ def train_step_reference(agent, rng, *, gamma, lr, batch_size, encoder=None):
 
     _sgd_step(params, acc, lr)
     return total_loss / batch_size
+
+
+def dense_train_step_reference(agent, rng, *, gamma, lr, batch_size, encoder=None):
+    """agents.train_step in its dense form: the same batched passes over
+    the minibatch and the same target max-Q memo, but the encoder's
+    backward pass returns its full list of gradients, every gradient is
+    added into a full zero accumulator, and SGD updates every array."""
+    if len(agent.buffer) < batch_size:
+        return None
+    picks = rng.choice(len(agent.buffer), size=batch_size, replace=False)
+    batch = [agent.buffer[int(i)] for i in picks]
+
+    x = np.stack([t.state_input for t in batch])
+    ctx = []
+    if encoder is not None:
+        ctx = [k for k, t in enumerate(batch) if t.state_ctx is not None]
+    if ctx:
+        x[ctx], state_cache = enc.state_forward(encoder, [batch[k].state_ctx for k in ctx])
+    out, cache = forward_cache(agent.prediction, x)
+    todo = [t for t in batch if t.next_candidates and t.max_target_q is None]
+    if todo:
+        q = forward(agent.target, np.stack([c for t in todo for c in t.next_candidates]))
+        q = q.max(axis=1)
+        start = 0
+        for t in todo:
+            t.max_target_q = float(q[start : start + len(t.next_candidates)].max())
+            start += len(t.next_candidates)
+    diff = np.zeros(batch_size)
+    dy = np.zeros_like(out)
+    for k, t in enumerate(batch):
+        a = int(t.action) if agent.output_dim > 1 else 0
+        y = t.reward
+        if t.next_candidates:
+            y += gamma * t.max_target_q
+        diff[k] = out[k, a] - y
+        dy[k, a] = (2.0 / batch_size) * diff[k]
+    grads, dx = backprop(agent.prediction, cache, dy)
+
+    params = agent.prediction.params
+    if encoder is not None:
+        params = params + encoder.params
+    acc = _zero_grads(params)
+    _add_grads(acc[: len(grads)], grads)
+    if ctx:
+        _add_grads(acc[len(grads) :], enc.state_backward(encoder, state_cache, dx[ctx]))
+    _sgd_step(params, acc, lr)
+    return float(diff @ diff) / batch_size
 
 
 def grow_reference(X, y, idx, X_te, te, out, depth, max_depth, feat_rng, n_subset, task, n_classes):

@@ -160,11 +160,46 @@ def _kink_free_state(seed):
         )
         graph = GraphSnapshot(stats=stats, relations=relations, parents=parents)
         spec = StateSpec(groups=(tuple(range(graph.n_nodes)), (0,)), op_id=3)
-        _, cache = state_forward(encoder, graph, spec)
-        pre = cache[2][-1]
+        _, cache = state_forward(encoder, [(graph, spec)])
+        pre = cache[1][-1]
         margin = min(float(np.min(np.abs(p))) for p in pre[:-1])
         if margin > 1e-3:
             return encoder, graph, spec, rng.normal(size=3 * 4)
+    raise AssertionError("no kink-free sample found")
+
+
+def _graphs_of_different_sizes(rng, count, n_relations):
+    """count random snapshots, no two with the same number of nodes."""
+    by_size = {}
+    while len(by_size) < count:
+        stats, relations, parents = random_graph(
+            rng, max_nodes=count + 3, n_relations=n_relations
+        )
+        by_size.setdefault(
+            len(stats), GraphSnapshot(stats=stats, relations=relations, parents=parents)
+        )
+    return list(by_size.values())
+
+
+def _kink_free_batch(seed):
+    """Sample an encoder, a batch of three states over snapshots of
+    different sizes, and a probe per state, with all hidden units off the
+    hinge."""
+    for attempt in range(200):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, attempt, 47]))
+        encoder = Encoder.create(rng, dims=(7, 5, 4))
+        contexts = [
+            (g, StateSpec(groups=(tuple(range(g.n_nodes)), (0,)), op_id=int(op)))
+            for g, op in zip(
+                _graphs_of_different_sizes(rng, 3, N_OPERATIONS),
+                rng.integers(N_OPERATIONS, size=3),
+            )
+        ]
+        _, cache = state_forward(encoder, contexts)
+        pre = cache[1][-1]
+        margin = min(float(np.min(np.abs(p))) for p in pre[:-1])
+        if margin > 1e-3:
+            return encoder, contexts, rng.normal(size=(3, 3 * 4))
     raise AssertionError("no kink-free sample found")
 
 
@@ -176,29 +211,56 @@ def test_a3_encoder_matches_dense_oracle_and_finite_differences():
         stats, relations, parents = random_graph(rng, max_nodes=5, n_relations=3)
         params = RGCNParams.create(rng, dims=(7, 4, 6), n_relations=3)
         graph = GraphSnapshot(stats=stats, relations=relations, parents=parents)
-        got, _ = rgcn_forward(graph, params)
+        got, _ = rgcn_forward([graph], params)
         want = dense_rgcn(stats, relations, parents, params.layers, 3)
         worst = max(worst, float(np.max(np.abs(got - want))))
+
+    worst_batch = 0.0
+    for seed in range(50):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 45]))
+        graphs = _graphs_of_different_sizes(rng, 3 + seed % 3, 3)
+        params = RGCNParams.create(rng, dims=(7, 4, 6), n_relations=3)
+        got, _ = rgcn_forward(graphs, params)
+        start = 0
+        for g in graphs:
+            want = dense_rgcn(g.stats, g.relations, g.parents, params.layers, 3)
+            gap = np.max(np.abs(got[start : start + g.n_nodes] - want))
+            worst_batch = max(worst_batch, float(gap))
+            start += g.n_nodes
 
     fd_ok = True
     for seed in (0, 1):
         encoder, graph, spec, probe = _kink_free_state(seed)
 
         def loss():
-            return float(state_forward(encoder, graph, spec)[0] @ probe)
+            return float(state_forward(encoder, [(graph, spec)])[0][0] @ probe)
 
-        _, cache = state_forward(encoder, graph, spec)
-        grads = state_backward(encoder, cache, probe)
+        _, cache = state_forward(encoder, [(graph, spec)])
+        grads = state_backward(encoder, cache, probe[None, :])
         for analytic, weight in zip(grads, encoder.params, strict=True):
             if not fd_close(analytic, central_difference(loss, weight)):
                 fd_ok = False
+
+    batch_fd_ok = True
+    for seed in (0, 1):
+        encoder, contexts, probes = _kink_free_batch(seed)
+
+        def batch_loss():
+            return float(np.sum(state_forward(encoder, contexts)[0] * probes))
+
+        _, cache = state_forward(encoder, contexts)
+        grads = state_backward(encoder, cache, probes)
+        for analytic, weight in zip(grads, encoder.params, strict=True):
+            if not fd_close(analytic, central_difference(batch_loss, weight)):
+                batch_fd_ok = False
     elapsed = time.perf_counter() - started
-    ok = worst <= 1e-9 and fd_ok and elapsed < 60.0
+    ok = worst <= 1e-9 and worst_batch <= 1e-9 and fd_ok and batch_fd_ok and elapsed < 60.0
     _verdict(
         "A3 encoder oracle",
         ok,
-        f"max forward gap {worst:.1e} over 50 graphs, gradients within "
-        f"1e-4 of central differences {fd_ok}, {elapsed:.1f}s",
+        f"max forward gap {worst:.1e} over 50 graphs and {worst_batch:.1e} over 50 "
+        f"batches of 3-5, gradients within 1e-4 of central differences {fd_ok}, "
+        f"over batches of 3 {batch_fd_ok}, {elapsed:.1f}s",
     )
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from oracles import random_graph, train_step_reference
+from oracles import dense_train_step_reference, random_graph, train_step_reference
 from tcto.agents import (
     BUFFER_CAPACITY,
     HEAD,
@@ -304,8 +304,8 @@ def test_training_reencodes_states_through_the_live_encoder():
                 state_ctx=(graph, spec),
             ),
         )
-    x, _ = state_forward(enc2, graph, spec)
-    q = float(forward(agent.prediction, x)[0])
+    x, _ = state_forward(enc2, [(graph, spec)])
+    q = float(forward(agent.prediction, x[0])[0])
     got = train_step(
         agent, np.random.default_rng(26), gamma=0.0, lr=0.0, batch_size=BATCH, encoder=enc2
     )
@@ -406,10 +406,12 @@ def _bits(arrays):
     return [a.view(np.int64).copy() for a in arrays]
 
 
-@pytest.mark.parametrize("with_encoder", [True, False])
-@pytest.mark.parametrize("role", [HEAD, OPERATION, OPERAND])
-def test_train_step_matches_the_dense_reference_bit_for_bit(role, with_encoder):
-    rng = np.random.default_rng([34, ROLES.index(role), with_encoder])
+def _train_twins(role, with_encoder, reference, seed, check):
+    """Train an agent and its deep copy for 24 steps, the copy by
+    reference, with sync_target every third step; call check(got, want,
+    arrays, ref_arrays) after each step and return the batches train_step
+    drew."""
+    rng = np.random.default_rng([seed, ROLES.index(role), with_encoder])
     dims = (7, 4, 3)
     encoder = Encoder.create(rng, dims=dims) if with_encoder else None
     d = dims[-1]
@@ -420,15 +422,16 @@ def test_train_step_matches_the_dense_reference_bit_for_bit(role, with_encoder):
         push_transition(agent, _random_transition(rng, role, state_dim))
     ref_agent, ref_encoder = copy.deepcopy((agent, encoder))
     replay, ref_replay = np.random.default_rng(35), np.random.default_rng(35)
+    batches = []
     for step in range(24):
         t = _random_transition(rng, role, state_dim)
         push_transition(agent, t)
         push_transition(ref_agent, copy.deepcopy(t))
+        picks = copy.deepcopy(replay).choice(len(agent.buffer), size=BATCH, replace=False)
+        batches.append([agent.buffer[int(i)] for i in picks])
         kw = dict(gamma=0.9, lr=0.05, batch_size=BATCH)
         got = train_step(agent, replay, encoder=encoder, **kw)
-        want = train_step_reference(ref_agent, ref_replay, encoder=ref_encoder, **kw)
-        assert got is not None
-        assert np.array(got).view(np.int64) == np.array(want).view(np.int64)
+        want = reference(ref_agent, ref_replay, encoder=ref_encoder, **kw)
         if step % 3 == 2:
             sync_target(agent)
             sync_target(ref_agent)
@@ -437,8 +440,46 @@ def test_train_step_matches_the_dense_reference_bit_for_bit(role, with_encoder):
         if with_encoder:
             arrays += encoder.params
             ref_arrays += ref_encoder.params
+        check(got, want, arrays, ref_arrays)
+    return batches
+
+
+@pytest.mark.parametrize("with_encoder", [True, False])
+@pytest.mark.parametrize("role", [HEAD, OPERATION, OPERAND])
+def test_train_step_matches_the_dense_reference_bit_for_bit(role, with_encoder):
+    def check(got, want, arrays, ref_arrays):
+        assert got is not None
+        assert np.array(got).view(np.int64) == np.array(want).view(np.int64)
         for a, b in zip(_bits(arrays), _bits(ref_arrays), strict=True):
             assert np.array_equal(a, b)
+
+    _train_twins(role, with_encoder, dense_train_step_reference, 34, check)
+
+
+@pytest.mark.parametrize("with_encoder", [True, False])
+@pytest.mark.parametrize("role", [HEAD, OPERATION, OPERAND])
+def test_batched_train_step_matches_the_per_transition_reference(role, with_encoder):
+    def check(got, want, arrays, ref_arrays):
+        assert abs(got - want) <= 1e-12 * abs(want)
+        for a, b in zip(arrays, ref_arrays, strict=True):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    batches = _train_twins(role, with_encoder, train_step_reference, 36, check)
+    # The batches covered what the batched pass must get right.
+    encoded = [[t.state_ctx for t in b if t.state_ctx is not None] for b in batches]
+    assert any(0 < len(ctx) < BATCH for ctx in encoded)
+    assert any(len({g.n_nodes for g, _ in ctx}) > 1 for ctx in encoded)
+
+    def relations(graph):
+        return set(graph.relation_rows[1].tolist())
+
+    assert any(
+        any(
+            sum(rel in relations(g) for g, _ in ctx) == 1
+            for rel in set().union(*(relations(g) for g, _ in ctx))
+        )
+        for ctx in encoded
+    )
 
 
 def test_sync_target_clears_the_memoised_target_q():

@@ -251,6 +251,13 @@ def test_a_config_value_of_the_wrong_json_type_exits_one(tmp_path, capsys, key, 
     assert not out.exists()
 
 
+def test_a_batch_larger_than_the_replay_buffer_exits_one(tmp_path, capsys):
+    code, out = _train(tmp_path, {**FAST_CONFIG, "batch_size": 17})
+    assert code == 1
+    assert capsys.readouterr().err.startswith("tcto: batch_size must be <= 16")
+    assert not out.exists()
+
+
 def test_a_diverging_run_exits_two_and_writes_no_nan(tmp_path, capsys):
     csv_path = tmp_path / "data.csv"
     write_csv(synthetic_regression(n=80, seed=1), csv_path)

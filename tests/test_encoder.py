@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import make_regression_dataset
-from oracles import central_difference, dense_rgcn, fd_close, random_graph
+from oracles import central_difference, dense_rgcn, fd_close, random_graph, rgcn_forward_reference
 from tcto.encoder import (
     Encoder,
     GraphSnapshot,
@@ -100,7 +100,7 @@ def test_single_root_uses_only_the_self_loop_weights():
     params = RGCNParams.create(np.random.default_rng(0), dims=SMALL_DIMS, n_relations=N_REL)
     stats = np.random.default_rng(1).normal(size=(1, 7))
     graph = GraphSnapshot(stats=stats, relations=np.array([-1]), parents=((),))
-    h, _ = rgcn_forward(graph, params)
+    h, _ = rgcn_forward([graph], params)
     want = np.maximum(stats @ params.layers[0][N_REL], 0.0) @ params.layers[1][N_REL]
     assert np.allclose(h, want, atol=1e-12)
 
@@ -111,7 +111,7 @@ def test_two_parent_messages_are_averaged_single_layer():
     graph = GraphSnapshot(
         stats=stats, relations=np.array([-1, -1, 1]), parents=((), (), (0, 1))
     )
-    h, _ = rgcn_forward(graph, params)
+    h, _ = rgcn_forward([graph], params)
     want_child = stats[2] @ params.layers[0][N_REL] + (
         (stats[0] + stats[1]) / 2.0
     ) @ params.layers[0][1]
@@ -125,9 +125,35 @@ def test_forward_matches_the_dense_oracle(seed):
         np.random.default_rng(1000 + seed), dims=SMALL_DIMS, n_relations=N_REL
     )
     graph = _snapshot(seed)
-    h, _ = rgcn_forward(graph, params)
+    h, _ = rgcn_forward([graph], params)
     want = dense_rgcn(graph.stats, graph.relations, graph.parents, params.layers, N_REL)
     assert np.abs(h - want).max() <= 1e-9
+
+
+@pytest.mark.parametrize("dims", [SMALL_DIMS, (7, 32, 64)])
+def test_a_batch_of_one_gives_the_bits_of_the_per_graph_pass(dims):
+    for seed in range(40):
+        rng = np.random.default_rng([seed, 61])
+        params = RGCNParams.create(rng, dims=dims, n_relations=N_OPERATIONS)
+        stats, relations, parents = random_graph(
+            rng, max_nodes=12, n_relations=N_OPERATIONS
+        )
+        graph = GraphSnapshot(stats=stats, relations=relations, parents=parents)
+        got, _ = rgcn_forward([graph], params)
+        want, _ = rgcn_forward_reference(graph, params)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_batch_stacks_the_embeddings_of_each_snapshot():
+    params = RGCNParams.create(np.random.default_rng(22), dims=SMALL_DIMS, n_relations=N_REL)
+    graphs = [_snapshot(seed, max_nodes=6) for seed in (3, 4, 5, 6)]
+    h, _ = rgcn_forward(graphs, params)
+    assert h.shape == (sum(g.n_nodes for g in graphs), SMALL_DIMS[-1])
+    start = 0
+    for g in graphs:
+        alone, _ = rgcn_forward([g], params)
+        assert np.abs(h[start : start + g.n_nodes] - alone).max() <= 1e-12
+        start += g.n_nodes
 
 
 def test_forward_is_equivariant_under_node_relabeling():
@@ -144,23 +170,23 @@ def test_forward_is_equivariant_under_node_relabeling():
         relations=graph.relations[perm],
         parents=tuple(tuple(int(inv[p]) for p in graph.parents[i]) for i in perm),
     )
-    h, _ = rgcn_forward(graph, params)
-    hs, _ = rgcn_forward(shuffled, params)
+    h, _ = rgcn_forward([graph], params)
+    hs, _ = rgcn_forward([shuffled], params)
     assert np.abs(hs - h[perm]).max() <= 1e-9
 
 
 def test_forward_reuses_the_snapshots_read_only_structure():
     params = RGCNParams.create(np.random.default_rng(8), dims=SMALL_DIMS, n_relations=N_REL)
     graph = _snapshot(3, max_nodes=8)
-    h1, _ = rgcn_forward(graph, params)
-    operator, rows_by_relation = graph.message_operator, graph.rows_by_relation
-    h2, _ = rgcn_forward(graph, params)
+    h1, _ = rgcn_forward([graph], params)
+    operator, relation_rows = graph.message_operator, graph.relation_rows
+    h2, _ = rgcn_forward([graph], params)
     assert h1.tobytes() == h2.tobytes()
     assert graph.message_operator is operator
-    assert graph.rows_by_relation is rows_by_relation
-    assert rows_by_relation
+    assert graph.relation_rows is relation_rows
+    assert len(relation_rows[0])
     assert not operator.flags.writeable
-    assert all(not rows.flags.writeable for _, rows in rows_by_relation)
+    assert all(not a.flags.writeable for a in relation_rows)
 
 
 def test_forward_rejects_wrong_stat_width():
@@ -169,7 +195,7 @@ def test_forward_rejects_wrong_stat_width():
         stats=np.zeros((2, 5)), relations=np.array([-1, -1]), parents=((), ())
     )
     with pytest.raises(ValueError):
-        rgcn_forward(graph, params)
+        rgcn_forward([graph], params)
 
 
 # -- backward pass ------------------------------------------------------------------
@@ -181,7 +207,7 @@ def _kink_free_case(seed):
         params = RGCNParams.create(rng, dims=SMALL_DIMS, n_relations=N_REL)
         stats, relations, parents = random_graph(rng, max_nodes=4, n_relations=N_REL)
         graph = GraphSnapshot(stats=stats, relations=relations, parents=parents)
-        _, cache = rgcn_forward(graph, params)
+        _, cache = rgcn_forward([graph], params)
         pre = cache[-1]
         if min(float(np.abs(z).min()) for z in pre[:-1]) > 1e-3:
             return params, graph
@@ -194,10 +220,10 @@ def test_backward_matches_central_differences(seed):
     c = np.random.default_rng([seed, 777]).normal(size=(graph.n_nodes, SMALL_DIMS[-1]))
 
     def loss():
-        h, _ = rgcn_forward(graph, params)
+        h, _ = rgcn_forward([graph], params)
         return float(np.sum(h * c))
 
-    _, cache = rgcn_forward(graph, params)
+    _, cache = rgcn_forward([graph], params)
     grads = rgcn_backward(params, cache, c)
     for g, w in zip(grads, params.params, strict=True):
         assert fd_close(g, central_difference(loss, w), tol=1e-4)
@@ -209,7 +235,7 @@ def test_relation_weights_without_edges_get_zero_gradient():
     graph = GraphSnapshot(
         stats=stats, relations=np.array([-1, 0]), parents=((), (0,))
     )
-    h, cache = rgcn_forward(graph, params)
+    h, cache = rgcn_forward([graph], params)
     grads = rgcn_backward(params, cache, np.ones_like(h))
     width = N_REL + 1
     for l in range(2):
@@ -235,12 +261,12 @@ def test_params_are_the_live_weights_layer_by_layer():
 def test_backward_returns_one_gradient_per_param():
     enc = Encoder.create(np.random.default_rng(19), dims=SMALL_DIMS, n_relations=N_REL)
     graph = _snapshot(21, max_nodes=5)
-    h, rcache = rgcn_forward(graph, enc.rgcn)
+    h, rcache = rgcn_forward([graph], enc.rgcn)
     rgrads = rgcn_backward(enc.rgcn, rcache, np.ones_like(h))
     assert [g.shape for g in rgrads] == [w.shape for w in enc.rgcn.params]
 
     spec = StateSpec(groups=((0,),), op_id=1)
-    x, cache = state_forward(enc, graph, spec)
+    x, cache = state_forward(enc, [(graph, spec)])
     grads = state_backward(enc, cache, np.ones_like(x))
     assert [g.shape for g in grads] == [w.shape for w in enc.params]
 
@@ -286,10 +312,11 @@ def test_state_forward_concatenates_pooled_groups_and_op_row():
     if m < 2:
         pytest.skip("degenerate sample")
     spec = StateSpec(groups=((0,), tuple(range(m))), op_id=1)
-    x, _ = state_forward(enc, graph, spec)
-    h, _ = rgcn_forward(graph, enc.rgcn)
+    x, _ = state_forward(enc, [(graph, spec)])
+    h, _ = rgcn_forward([graph], enc.rgcn)
     d = enc.out_dim
-    assert x.shape == (3 * d,)
+    assert x.shape == (1, 3 * d)
+    x = x[0]
     assert np.allclose(x[:d], h[0], atol=1e-12)
     assert np.allclose(x[d : 2 * d], h.mean(axis=0), atol=1e-12)
     assert np.array_equal(x[2 * d :], enc.op_table[1])
@@ -301,17 +328,41 @@ def test_state_backward_splits_dx_across_groups_and_op_table():
     m = graph.n_nodes
     groups = ((0,),) if m == 1 else ((0,), tuple(range(m)))
     spec = StateSpec(groups=groups, op_id=0)
-    x, cache = state_forward(enc, graph, spec)
+    x, cache = state_forward(enc, [(graph, spec)])
     v = np.random.default_rng(15).normal(size=x.shape)
     grads = state_backward(enc, cache, v)
     op_grads = grads[-1]
     d = enc.out_dim
-    assert np.array_equal(op_grads[0], v[-d:])
+    assert np.array_equal(op_grads[0], v[0, -d:])
     assert np.all(op_grads[1:] == 0.0)
     assert len(grads) == len(enc.params)
 
     with pytest.raises(ValueError):
-        state_backward(enc, cache, v[:-1])
+        state_backward(enc, cache, v[:, :-1])
+
+
+def test_a_batch_of_states_pools_each_snapshot_and_sums_repeated_op_rows():
+    enc = Encoder.create(np.random.default_rng(23), dims=SMALL_DIMS, n_relations=N_REL)
+    graphs = [_snapshot(seed, max_nodes=6) for seed in (7, 8, 9)]
+    contexts = [
+        (g, StateSpec(groups=((0,), tuple(range(g.n_nodes))), op_id=op))
+        for g, op in zip(graphs, (1, 0, 1))
+    ]
+    x, cache = state_forward(enc, contexts)
+    for row, ctx in zip(x, contexts):
+        alone, _ = state_forward(enc, [ctx])
+        assert np.abs(row - alone[0]).max() <= 1e-12
+    v = np.random.default_rng(24).normal(size=x.shape)
+    op_grads = state_backward(enc, cache, v)[-1]
+    d = enc.out_dim
+    assert np.array_equal(op_grads[1], v[0, -d:] + v[2, -d:])
+    assert np.array_equal(op_grads[0], v[1, -d:])
+
+    mixed = [contexts[0], (graphs[1], StateSpec(groups=((0,),), op_id=1))]
+    with pytest.raises(ValueError):
+        state_forward(enc, mixed)
+    with pytest.raises(ValueError):
+        state_forward(enc, [(graphs[0], StateSpec(groups=((),), op_id=1))])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -321,7 +372,7 @@ def test_state_gradients_match_central_differences(seed):
         enc = Encoder.create(rng, dims=SMALL_DIMS, n_relations=N_REL)
         stats, relations, parents = random_graph(rng, max_nodes=4, n_relations=N_REL)
         graph = GraphSnapshot(stats=stats, relations=relations, parents=parents)
-        _, rcache = rgcn_forward(graph, enc.rgcn)
+        _, rcache = rgcn_forward([graph], enc.rgcn)
         pre = rcache[-1]
         if min(float(np.abs(z).min()) for z in pre[:-1]) > 1e-3:
             break
@@ -332,11 +383,11 @@ def test_state_gradients_match_central_differences(seed):
     v = np.random.default_rng([seed, 5]).normal(size=2 * enc.out_dim)
 
     def loss():
-        x, _ = state_forward(enc, graph, spec)
-        return float(x @ v)
+        x, _ = state_forward(enc, [(graph, spec)])
+        return float(x[0] @ v)
 
-    _, cache = state_forward(enc, graph, spec)
-    grads = state_backward(enc, cache, v)
+    _, cache = state_forward(enc, [(graph, spec)])
+    grads = state_backward(enc, cache, v[None, :])
     for g, w in zip(grads, enc.params, strict=True):
         assert fd_close(g, central_difference(loss, w), tol=1e-4)
 

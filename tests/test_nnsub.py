@@ -15,6 +15,8 @@ from tcto.nnsub import (
     forward,
     forward_cache,
     glorot_uniform,
+    matmul,
+    matmul_t,
 )
 
 
@@ -303,3 +305,14 @@ def test_batch_and_row_forwards_agree_for_random_nets(seed):
     got = forward(net, batch)
     want = np.stack([forward(net, row) for row in batch])
     assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 127, 128, 129, 333, 900])
+def test_row_blocked_products_match_the_plain_products(rows):
+    rng = np.random.default_rng(rows)
+    x, w, y = rng.normal(size=(rows, 32)), rng.normal(size=(32, 64)), rng.normal(size=(rows, 64))
+    # Cutting rows apart leaves every row of x @ w with its bits; the
+    # blocked x.T @ y sums its blocks, so it matches to rounding.
+    assert matmul(x, w).tobytes() == (x @ w).tobytes()
+    want = x.T @ y
+    assert np.abs(matmul_t(x, y) - want).max() <= 1e-12 * np.abs(want).max()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import tcto.encoder
 import tcto.pipeline
 from helpers import alive_edge_matrix
-from tcto.agents import HEAD, OPERAND, OPERATION
+from tcto.agents import BUFFER_CAPACITY, HEAD, OPERAND, OPERATION
 from tcto.encoder import squash_stats
 from tcto.evaluator import _MODELS, EvalConfig, evaluate
 from tcto.pipeline import (
@@ -139,6 +139,14 @@ def test_readme_configuration_table_matches_the_program():
 def test_run_config_bounds(kw):
     with pytest.raises(ConfigError):
         RunConfig(**kw)
+
+
+def test_a_batch_larger_than_the_replay_buffer_is_refused():
+    assert RunConfig(batch_size=BUFFER_CAPACITY).batch_size == BUFFER_CAPACITY
+    with pytest.raises(ConfigError, match=f"batch_size must be <= {BUFFER_CAPACITY}"):
+        RunConfig(batch_size=BUFFER_CAPACITY + 1)
+    with pytest.raises(ConfigError, match="replay buffer"):
+        config_from_dict({"batch_size": 17})
 
 
 def test_zero_episodes_is_a_valid_baseline_only_config():

@@ -154,9 +154,12 @@ def _assert_snapshot_follows_alive_edges(r):
         assert all(row[p] == 1.0 / len(alive_parents) for p in alive_parents)
         if alive_parents:
             want_rows.setdefault(n.op.id, []).append(i)
-    got_rows = {rel: list(rows) for rel, rows in graph.rows_by_relation}
+    rows, rels = graph.relation_rows
+    got_rows = {}
+    for i, rel in zip(rows.tolist(), rels.tolist()):
+        got_rows.setdefault(rel, []).append(i)
     assert got_rows == want_rows
-    assert [rel for rel, _ in graph.rows_by_relation] == sorted(want_rows)
+    assert rels.tolist() == sorted(rels.tolist())
 
 
 @given(st.integers(0, 10_000), st.integers(1, 10), st.integers(0, 4))
