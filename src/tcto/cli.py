@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from .evaluator import check_splits_for_cv, evaluate
+from .evaluator import check_splits_for_cv, evaluate_pairs
 from .pipeline import (
     APPLY,
     EXPLORE,
@@ -204,11 +204,9 @@ def _cmd_apply(args) -> int:
     dataset = load_csv(args.data, task, label)
     train_d, test_d = stratified_split(dataset, cfg.test_fraction, cfg.seed)
     check_splits_for_cv(dataset, train_d, test_d, cfg.eval.folds)
-    train_score = evaluate(
-        roadmap.materialize(train_d), train_d.labels, train_d.task, cfg.eval
-    )
-    test_score = evaluate(
-        roadmap.materialize(test_d), test_d.labels, test_d.task, cfg.eval
+    # Both splits in one fit: the test split's trees share the training split's rounds.
+    train_score, test_score = evaluate_pairs(
+        [(roadmap.materialize(d), d.labels) for d in (train_d, test_d)], task, cfg.eval
     )
 
     out = Path(args.out)

@@ -25,6 +25,11 @@ the call grow their share and write the predictions into a mapping shared
 with this process. Each tree is fixed by its fold's rows and its own seed,
 so the score is the same bit for bit however many processes grow it.
 Nothing sets the number.
+
+evaluate_pairs scores several matrices of one column count in one such
+fit, every pair's folds side by side, so the trees of each pair share
+their rounds with the others' and each score keeps the bits evaluate
+gives it alone; evaluate is its one-pair case.
 """
 
 from __future__ import annotations
@@ -430,13 +435,6 @@ def _fork_child(fit, share) -> int:
     return pid
 
 
-def _forest(X, y, X_te, task: str, cfg: EvalConfig) -> np.ndarray:
-    """Bootstrap-aggregated CART trees with sqrt(p) feature subsampling,
-    trained on (X, y); returns their predictions for X_te: the mean over
-    trees for regression, the most-voted class (lowest on ties) otherwise."""
-    return _forest_folds([_Fold(X, y, X_te, cfg.seed)], task, cfg)[0]
-
-
 def _centroid(X, y, X_te, task: str, cfg: EvalConfig) -> np.ndarray:
     """Nearest-centroid over class centroids, or over 5 label-range
     centroids for regression, trained on (X, y); returns the predictions
@@ -499,13 +497,8 @@ def check_splits_for_cv(dataset: Dataset, train: Dataset, test: Dataset, folds: 
             )
 
 
-def evaluate(X, y, task: str, cfg: EvalConfig) -> float:
-    """Pooled out-of-fold score under seeded k-fold cross validation.
-
-    Regression labels whose sum of squares overflows are fitted in the
-    power-of-two units of scaled_stat. Raises DataError when the score is
-    not finite.
-    """
+def _checked(X, y, task: str, cfg: EvalConfig) -> tuple:
+    """X and y as float arrays, or DataError when they cannot be scored."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
@@ -518,29 +511,58 @@ def evaluate(X, y, task: str, cfg: EvalConfig) -> float:
         raise DataError("non-finite entries in evaluation input")
     if task not in TASKS:
         raise DataError(f"unknown task {task!r}")
-    n = X.shape[0]
-    if _too_few_for_cv(n, cfg.folds):
-        raise DataError(f"{n} rows are too few for {cfg.folds}-fold CV")
-    perm = np.random.default_rng(np.random.SeedSequence([cfg.seed, 977])).permutation(n)
-    fold_of = np.empty(n, dtype=int)
-    fold_of[perm] = np.arange(n) % cfg.folds
-    unit = scaled_stat(lambda u: u @ u, y)[1] if task == REGRESSION else 1.0
-    model = _MODELS[cfg.model]
+    if _too_few_for_cv(X.shape[0], cfg.folds):
+        raise DataError(f"{X.shape[0]} rows are too few for {cfg.folds}-fold CV")
+    return X, y
 
-    preds = np.empty(n)
+
+def evaluate_pairs(pairs, task: str, cfg: EvalConfig) -> list:
+    """The score evaluate gives each (X, y) of pairs, from one model call.
+
+    Every pair's folds go to the model together, so a forest grows all of
+    their trees in one lockstep fit. A tree depends only on its fold's rows
+    and seed, so each score keeps its bits. Every X must have the same
+    number of columns, which a forest's stacked rows need; ValueError
+    otherwise.
+    """
+    checked = [_checked(X, y, task, cfg) for X, y in pairs]
+    if len({X.shape[1] for X, _ in checked}) != 1:
+        raise ValueError("evaluate_pairs needs one or more matrices of one column count")
     # Labels near the float limit overflow into a non-finite score, refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        folds = []
-        for f in range(cfg.folds):
-            te = fold_of == f
-            fold_seed = np.random.SeedSequence([cfg.seed, 101, f]).generate_state(1)[0]
-            folds.append(_Fold(X[~te], y[~te] / unit, X[te], int(fold_seed)))
-        for f, fold_preds in enumerate(model(folds, task, cfg)):
-            preds[fold_of == f] = fold_preds * unit
-        score = macro_f1(y, preds) if task == CLASSIFICATION else one_minus_rae(y, preds)
-    if not math.isfinite(score):
-        raise DataError(f"the {task} score is not finite; the labels may overflow")
-    return score
+        splits, folds = [], []
+        for X, y in checked:
+            n = X.shape[0]
+            perm = np.random.default_rng(np.random.SeedSequence([cfg.seed, 977])).permutation(n)
+            fold_of = np.empty(n, dtype=int)
+            fold_of[perm] = np.arange(n) % cfg.folds
+            unit = scaled_stat(lambda u: u @ u, y)[1] if task == REGRESSION else 1.0
+            splits.append((y, fold_of, unit))
+            for f in range(cfg.folds):
+                te = fold_of == f
+                fold_seed = np.random.SeedSequence([cfg.seed, 101, f]).generate_state(1)[0]
+                folds.append(_Fold(X[~te], y[~te] / unit, X[te], int(fold_seed)))
+        fold_preds = iter(_MODELS[cfg.model](folds, task, cfg))
+        scores = []
+        for y, fold_of, unit in splits:
+            preds = np.empty(y.shape[0])
+            for f in range(cfg.folds):
+                preds[fold_of == f] = next(fold_preds) * unit
+            scores.append(macro_f1(y, preds) if task == CLASSIFICATION else one_minus_rae(y, preds))
+    for score in scores:
+        if not math.isfinite(score):
+            raise DataError(f"the {task} score is not finite; the labels may overflow")
+    return scores
+
+
+def evaluate(X, y, task: str, cfg: EvalConfig) -> float:
+    """Pooled out-of-fold score under seeded k-fold cross validation.
+
+    Regression labels whose sum of squares overflows are fitted in the
+    power-of-two units of scaled_stat. Raises DataError when the score is
+    not finite.
+    """
+    return evaluate_pairs([(X, y)], task, cfg)[0]
 
 
 def mutual_information(v, y, task: str) -> float:

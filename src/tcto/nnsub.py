@@ -56,8 +56,9 @@ def glorot_uniform(d_in: int, d_out: int, rng: np.random.Generator) -> np.ndarra
 # evaluator's forked children need. Products over one transition mostly
 # stay below that size, products over a whole minibatch do not, so batch
 # products go through matmul and matmul_t, which cut them into row blocks
-# that stay below it. Every row of matmul's result has the bits of the
-# uncut product.
+# that stay below it. matmul's result is deterministic and equals the uncut
+# product to rounding; at some widths, such as the value nets' 128 or 256
+# inputs, its last bits differ from the uncut product's.
 _ONE_THREAD_MNK = 4 * 65536
 
 
@@ -136,28 +137,27 @@ def backprop(net: DenseNet, cache, dy):
 class GradBuffers:
     """One SGD step's gradient buffers for a params list.
 
-    add() adds scale * g into the buffer of params[i], which starts at
-    +0.0 on its first add; an array that gets no gradient has no buffer,
+    add() adds g into the buffer of params[i], which starts at +0.0 on its
+    first add; an array that gets no gradient has no buffer,
     and sgd_step() leaves it alone. Skipping it changes no bit: its update
     would subtract lr * +0.0, and a sum that starts at +0.0 never becomes
     -0.0, so adding a zero gradient to a buffer never changes it either.
     """
 
-    def __init__(self, params: list, scale: float = 1.0):
+    def __init__(self, params: list):
         self.params = params
-        self.scale = scale
         self.buffers: dict = {}
 
     def add(self, i: int, g, rows=None) -> None:
-        """buffer[i] += scale * g, or buffer[i][rows] += scale * g, where a
-        row listed twice gets both of its rows of g, in order."""
+        """buffer[i] += g, or buffer[i][rows] += g, where a row listed twice
+        gets both of its rows of g, in order."""
         buf = self.buffers.get(i)
         if buf is None:
             buf = self.buffers[i] = np.zeros_like(self.params[i])
         if rows is None:
-            buf += self.scale * g
+            buf += g
         else:
-            np.add.at(buf, rows, self.scale * g)
+            np.add.at(buf, rows, g)
 
     def dense(self) -> list:
         """Every gradient aligned with params, zeros where none was added."""

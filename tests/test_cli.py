@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from tcto import cli, evaluator
 from tcto.cli import main
 from tcto.pipeline import Pipeline, config_from_dict
 from tcto.roadmap import Roadmap
@@ -566,6 +567,32 @@ def test_apply_rescoring_matches_the_training_summary(run_dir, capsys):
     assert result["train_score"] == summary["best_score"]
     assert result["test_score"] == summary["test_score"]
     assert result["n_train"] == summary["n_train"]
+
+
+def test_apply_scores_both_splits_in_one_forest_fit(run_dir, monkeypatch, capsys):
+    tmp_path, csv_path, out = run_dir
+    argv = ["apply", "--data", str(csv_path), "--roadmap", str(out / "best_roadmap.json")]
+    fits = []
+    forest_folds = evaluator._MODELS["forest"]
+
+    def counted(folds, task, cfg):
+        fits.append(len(folds))
+        return forest_folds(folds, task, cfg)
+
+    monkeypatch.setitem(evaluator._MODELS, "forest", counted)
+    assert main(argv + ["--out", str(tmp_path / "together")]) == 0
+    # One fit holds both splits' folds.
+    assert fits == [2 * FAST_CONFIG["folds"]]
+
+    def each_alone(pairs, task, cfg):
+        return [evaluator.evaluate(X, y, task, cfg) for X, y in pairs]
+
+    monkeypatch.setattr(cli, "evaluate_pairs", each_alone)
+    assert main(argv + ["--out", str(tmp_path / "alone")]) == 0
+    assert len(fits) == 3
+    capsys.readouterr()
+    together = (tmp_path / "together" / "apply_summary.json").read_bytes()
+    assert together == (tmp_path / "alone" / "apply_summary.json").read_bytes()
 
 
 @pytest.mark.parametrize("model", ["forest", "nearest-centroid"])

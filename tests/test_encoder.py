@@ -273,10 +273,10 @@ def test_backward_returns_one_gradient_per_param():
 
 def test_gradient_helpers_accumulate_and_step():
     params = RGCNParams.create(np.random.default_rng(10), dims=(7, 3), n_relations=N_REL)
-    acc = GradBuffers(params.params, scale=0.5)
+    acc = GradBuffers(params.params)
     for _ in range(2):
         for i, w in enumerate(params.params):
-            acc.add(i, np.ones_like(w))
+            acc.add(i, 0.5 * np.ones_like(w))
     before = params.layers[0][0].copy()
     acc.sgd_step(lr=0.5)
     assert np.allclose(params.layers[0][0], before - 0.5)
@@ -398,9 +398,9 @@ def test_encoder_create_shapes_and_grad_plumbing():
     assert enc.out_dim == 64
     assert enc.op_table.shape == (N_OPERATIONS, 64)
 
-    acc = GradBuffers(enc.params, scale=2.0)
+    acc = GradBuffers(enc.params)
     for i, w in enumerate(enc.params):
-        acc.add(i, np.ones_like(w))
+        acc.add(i, 2.0 * np.ones_like(w))
     before_w = enc.rgcn.layers[0][0].copy()
     before_t = enc.op_table.copy()
     acc.sgd_step(lr=0.1)

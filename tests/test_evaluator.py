@@ -17,9 +17,10 @@ from tcto.evaluator import (
     _best_splits,
     _fit_trees,
     _Fold,
-    _forest,
+    _forest_folds,
     _Stack,
     evaluate,
+    evaluate_pairs,
     macro_f1,
     mutual_information,
     one_minus_rae,
@@ -195,6 +196,11 @@ def test_lockstep_trees_match_the_reference_trees(
             assert np.isnan(per_tree[f][t]).all()
 
 
+def _one_forest(X, y, X_te, task, cfg):
+    """One forest's predictions for X_te, trained on (X, y) with model seed cfg.seed."""
+    return _forest_folds([_Fold(X, y, X_te, cfg.seed)], task, cfg)[0]
+
+
 def _single_tree(X, y, task, max_depth):
     """One reference tree's predictions on X, grown on every row with every feature."""
     n = X.shape[0]
@@ -224,7 +230,7 @@ def test_depth_zero_forest_is_a_constant_predictor():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(20, 3))
     y = np.array([0.0] * 18 + [1.0] * 2)
-    preds = _forest(X, y, X, "classification", EvalConfig(trees=10, max_depth=0))
+    preds = _one_forest(X, y, X, "classification", EvalConfig(trees=10, max_depth=0))
     assert np.unique(preds).size == 1
     assert preds[0] == 0.0
 
@@ -246,7 +252,7 @@ def test_forest_regression_averages_its_trees():
         ]
     )
     assert np.unique(per_tree, axis=0).shape[0] == cfg.trees
-    assert np.array_equal(_forest(X, y, X, REGRESSION, cfg), per_tree.mean(axis=0))
+    assert np.array_equal(_one_forest(X, y, X, REGRESSION, cfg), per_tree.mean(axis=0))
 
 
 def test_held_out_rows_do_not_change_the_tree():
@@ -255,10 +261,10 @@ def test_held_out_rows_do_not_change_the_tree():
     y = X[:, 0] - X[:, 1] ** 2
     X_te = rng.normal(size=(7, 4))
     cfg = EvalConfig(trees=4, max_depth=5, seed=3)
-    both = _forest(X, y, np.vstack([X, X_te]), REGRESSION, cfg)
-    assert np.array_equal(both[:30], _forest(X, y, X, REGRESSION, cfg))
-    assert np.array_equal(both[30:], _forest(X, y, X_te, REGRESSION, cfg))
-    assert _forest(X, y, X[:0], REGRESSION, cfg).shape == (0,)
+    both = _one_forest(X, y, np.vstack([X, X_te]), REGRESSION, cfg)
+    assert np.array_equal(both[:30], _one_forest(X, y, X, REGRESSION, cfg))
+    assert np.array_equal(both[30:], _one_forest(X, y, X_te, REGRESSION, cfg))
+    assert _one_forest(X, y, X[:0], REGRESSION, cfg).shape == (0,)
 
 
 # -- cross validation -----------------------------------------------------------------
@@ -336,6 +342,81 @@ def test_evaluate_input_validation():
     with pytest.raises(DataError):
         evaluate(X[:3], y[:3], "regression", EvalConfig(folds=2))
     assert evaluate(X[:3], y[:3], "regression", EvalConfig(folds=3)) == 0.0
+
+
+def _pairs(seed, task, sizes, p, lone_class):
+    """One (X, y) per row count in sizes, all p wide; with lone_class the
+    first pair's top class has one row, so the fold that holds it out
+    lacks it."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for n in sizes:
+        X = rng.normal(size=(n, p))
+        if task == CLASSIFICATION:
+            y = (X[:, 0] + 0.5 * rng.normal(size=n) > 0).astype(float)
+        else:
+            y = X[:, 0] - X[:, -1] ** 2 + 0.1 * rng.normal(size=n)
+        pairs.append((X, y))
+    if lone_class and task == CLASSIFICATION:
+        pairs[0][1][0] = 2.0
+    return pairs
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+@pytest.mark.parametrize("model", ["forest", "nearest-centroid"])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(6, 40), min_size=2, max_size=3, unique=True),
+    p=st.integers(1, 5),
+    folds=st.integers(2, 3),
+    trees=st.integers(1, 3),
+    lone_class=st.booleans(),
+    fork=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_pairs_scored_together_keep_the_bits_of_each_alone(
+    task, model, seed, sizes, p, folds, trees, lone_class, fork
+):
+    """Pairs of one width and different row counts: each score equals
+    evaluate on its pair alone, with the fit forked over 2 workers or not."""
+    pairs = _pairs(seed, task, sizes, p, lone_class)
+    cfg = EvalConfig(folds=folds, trees=trees, max_depth=4, seed=seed % 1000, model=model)
+    alone = np.array([evaluate(X, y, task, cfg) for X, y in pairs])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "_FORK_MIN_WORK", 0)
+        mp.setattr(evaluator, "_cpu_count", lambda: 2 if fork else 1)
+        together = np.array(evaluate_pairs(pairs, task, cfg))
+    assert together.view(np.int64).tolist() == alone.view(np.int64).tolist()
+    _assert_no_children()
+
+
+def test_a_bad_pair_raises_what_evaluate_raises():
+    good = (np.arange(12.0).reshape(6, 2), np.arange(6.0))
+    cfg = EvalConfig(folds=2)
+    bad_pairs = [
+        (np.zeros(6), np.zeros(6)),
+        (np.zeros((6, 2)), np.zeros(5)),
+        (np.zeros((1, 2)), np.zeros(1)),
+        (np.full((6, 2), np.inf), np.zeros(6)),
+        (np.zeros((3, 2)), np.zeros(3)),
+    ]
+    for X, y in bad_pairs:
+        with pytest.raises(DataError) as alone:
+            evaluate(X, y, REGRESSION, cfg)
+        with pytest.raises(DataError) as together:
+            evaluate_pairs([good, (X, y)], REGRESSION, cfg)
+        assert str(together.value) == str(alone.value)
+    with pytest.raises(DataError, match="unknown task"):
+        evaluate_pairs([good, good], "ranking", cfg)
+
+
+def test_pairs_of_different_widths_are_refused():
+    X = np.arange(24.0).reshape(12, 2)
+    y = np.arange(12.0)
+    with pytest.raises(ValueError):
+        evaluate_pairs([(X, y), (X[:, :1], y)], REGRESSION, EvalConfig(folds=2))
+    with pytest.raises(ValueError):
+        evaluate_pairs([], REGRESSION, EvalConfig(folds=2))
 
 
 def test_eval_config_validation():
