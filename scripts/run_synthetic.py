@@ -58,7 +58,7 @@ def main(argv=None) -> int:
     if application is not None and application.best_score > explore.best_score:
         best = application
 
-    print(f"rows {data.n_rows}, features {data.n_features}, task {data.task}")
+    print(f"rows {data.n_rows}, features {len(data.column_names)}, task {data.task}")
     print(f"baseline train CV   {explore.baseline_score:.4f}")
     print(
         f"best train CV       {best.best_score:.4f} "

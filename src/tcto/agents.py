@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import encoder as enc
-from .nnsub import DenseNet, GradBuffers, backprop, clone, copy_params, forward, forward_cache
+from .nnsub import DenseNet, backprop, clone, copy_params, forward, forward_cache, sgd_step
 
 HEAD = "head"
 OPERATION = "operation"
@@ -30,8 +30,9 @@ class Transition:
 
     next_candidates holds the Q-network inputs available at the next
     decision point; a terminal transition leaves it empty. state_ctx
-    optionally carries (GraphSnapshot, StateSpec) so training can recompute
-    the state through the current encoder and push gradients into it.
+    carries (GraphSnapshot, StateSpec) when the agents train an encoder,
+    so training can recompute the state through the current encoder and
+    push gradients into it.
     max_target_q memoises the target network's best Q-value over
     next_candidates: train_step fills it on first use, and sync_target,
     the only step that changes the target network, clears it.
@@ -125,28 +126,25 @@ def train_step(
     """One squared-TD-error SGD step over a without-replacement minibatch.
 
     Returns the pre-update mean loss, or None while the buffer is short.
-    When an encoder is given, transitions carrying state_ctx are re-encoded
-    through it, all in one encoder pass, and the loss gradient also updates
-    the encoder parameters; transitions without state_ctx add nothing to
-    the encoder's gradient. The minibatch goes through the value network
-    as one (batch_size, d) array, and each array's gradient of the mean
-    loss goes into the step's GradBuffers at once, so SGD touches only the
-    arrays the batch reached. A transition's target max-Q is computed once
-    per target network and kept in max_target_q until the next
-    sync_target.
+    When an encoder is given, every transition of the minibatch carries a
+    state_ctx, and the whole minibatch is re-encoded through it in one
+    encoder pass; the loss gradient then also updates the encoder
+    parameters. Without one, the stored state_input rows are used. The
+    minibatch goes through the value network as one (batch_size, d) array,
+    and sgd_step applies each backward pass's gradients, so SGD touches
+    only the arrays the batch reached. A transition's target max-Q is
+    computed once per target network and kept in max_target_q until the
+    next sync_target.
     """
     if len(agent.buffer) < batch_size:
         return None
     picks = rng.choice(len(agent.buffer), size=batch_size, replace=False)
     batch = [agent.buffer[int(i)] for i in picks]
 
-    x = np.stack([t.state_input for t in batch])
-    encoded = []
-    if encoder is not None:
-        encoded = [k for k, t in enumerate(batch) if t.state_ctx is not None]
-    if encoded:
-        contexts = [batch[k].state_ctx for k in encoded]
-        x[encoded], state_cache = enc.state_forward(encoder, contexts)
+    if encoder is None:
+        x = np.stack([t.state_input for t in batch])
+    else:
+        x, state_cache = enc.state_forward(encoder, [t.state_ctx for t in batch])
     out, cache = forward_cache(agent.prediction, x)
     _fill_target_q(agent, batch)
     y = np.array(
@@ -158,14 +156,9 @@ def train_step(
     dy = np.zeros_like(out)
     dy[rows, actions] = (2.0 / batch_size) * diff
     grads, dx = backprop(agent.prediction, cache, dy)
-    net_grads = GradBuffers(agent.prediction.params)
-    for i, g in enumerate(grads):
-        net_grads.add(i, g)
-    net_grads.sgd_step(lr)
-    if encoded:
-        enc_grads = GradBuffers(encoder.params)
-        enc.state_backward(encoder, state_cache, dx[encoded], enc_grads)
-        enc_grads.sgd_step(lr)
+    sgd_step(agent.prediction.params, grads, lr)
+    if encoder is not None:
+        sgd_step(encoder.params, enc.state_backward(encoder, state_cache, dx), lr)
     return float(diff @ diff) / batch_size
 
 

@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from .evaluator import check_splits_for_cv, evaluate_pairs
+from .evaluator import cv_split, evaluate_pairs
 from .pipeline import (
     APPLY,
     EXPLORE,
@@ -23,7 +23,7 @@ from .pipeline import (
     record_to_json,
 )
 from .roadmap import Roadmap, RoadmapError, SchemaError
-from .tabular import CLASSIFICATION, REGRESSION, DataError, load_csv, stratified_split
+from .tabular import CLASSIFICATION, REGRESSION, DataError, load_csv
 
 _TASK_FLAGS = {"cls": CLASSIFICATION, "reg": REGRESSION}
 
@@ -202,8 +202,7 @@ def _cmd_apply(args) -> int:
     task = _TASK_FLAGS[task]
 
     dataset = load_csv(args.data, task, label)
-    train_d, test_d = stratified_split(dataset, cfg.test_fraction, cfg.seed)
-    check_splits_for_cv(dataset, train_d, test_d, cfg.eval.folds)
+    train_d, test_d = cv_split(dataset, cfg.test_fraction, cfg.seed, cfg.eval.folds)
     # Both splits in one fit: the test split's trees share the training split's rounds.
     train_score, test_score = evaluate_pairs(
         [(roadmap.materialize(d), d.labels) for d in (train_d, test_d)], task, cfg.eval

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .nnsub import GradBuffers, glorot_uniform, matmul, matmul_t
+from .nnsub import glorot_uniform, matmul, matmul_t
 from .opset import N_OPERATIONS
 from .tabular import STAT_DIM, read_only
 
@@ -164,16 +164,14 @@ def rgcn_forward(graphs, params: RGCNParams):
     return h, cache
 
 
-def rgcn_backward(params: RGCNParams, cache, d_out: np.ndarray, grads: GradBuffers | None = None):
+def rgcn_backward(params: RGCNParams, cache, d_out: np.ndarray) -> list:
     """Weight gradients of a scalar loss, given d(loss)/d(embeddings).
 
-    Each weight's gradient sums over every node of the batch. With grads,
-    a GradBuffers whose params begin with params.params, they are added
-    into it: the self-loop weights and the relations present in the batch,
-    nothing else. Without, the gradients are returned as a list aligned
-    with params.params.
+    Returns a list aligned with params.params. Each weight's gradient sums
+    over every node of the batch; a relation the batch does not contain
+    gets None.
     """
-    out = GradBuffers(params.params) if grads is None else grads
+    grads: list = [None] * len(params.params)
     graphs, starts, order, spans, inputs, msgs_all, pre = cache
     width = params.n_relations + 1
     self_idx = params.n_relations
@@ -184,9 +182,9 @@ def rgcn_backward(params: RGCNParams, cache, d_out: np.ndarray, grads: GradBuffe
         layer = params.layers[l]
         h, msgs = inputs[l], msgs_all[l]
         dz_rel = dz[order]
-        out.add(l * width + self_idx, matmul_t(h, dz))
+        grads[l * width + self_idx] = matmul_t(h, dz)
         for rel, a, b in spans:
-            out.add(l * width + rel, matmul_t(msgs[a:b], dz_rel[a:b]))
+            grads[l * width + rel] = matmul_t(msgs[a:b], dz_rel[a:b])
         if l > 0:
             dmsgs = np.zeros((h.shape[0], layer[self_idx].shape[0]))
             if spans:
@@ -194,7 +192,7 @@ def rgcn_backward(params: RGCNParams, cache, d_out: np.ndarray, grads: GradBuffe
                     [matmul(dz_rel[a:b], layer[rel].T) for rel, a, b in spans]
                 )
             da = matmul(dz, layer[self_idx].T) + _per_block(graphs, starts, dmsgs, transpose=True)
-    return out.dense() if grads is None else None
+    return grads
 
 
 def _row_starts(graphs) -> list:
@@ -313,13 +311,13 @@ def state_forward(encoder: Encoder, contexts):
     return x, (pool_t, rcache, op_ids, x.shape)
 
 
-def state_backward(encoder: Encoder, cache, dx: np.ndarray, grads: GradBuffers | None = None):
+def state_backward(encoder: Encoder, cache, dx: np.ndarray) -> list:
     """Split dx, one row per state, back onto the pooled groups and the
     op_table rows.
 
-    With grads, a GradBuffers over encoder.params, the gradients are added
-    into it; without, they are returned as a list aligned with
-    encoder.params.
+    Returns a list aligned with encoder.params: rgcn_backward's gradients,
+    then the op_table's, where an op_id listed twice gets both of its rows
+    of dx, or None when the states carry no op_id.
     """
     pool_t, rcache, op_ids, shape = cache
     dx = np.asarray(dx, dtype=float)
@@ -328,8 +326,8 @@ def state_backward(encoder: Encoder, cache, dx: np.ndarray, grads: GradBuffers |
     d = encoder.out_dim
     pooled_width = shape[1] - (0 if op_ids is None else d)
     dh = matmul(pool_t, dx[:, :pooled_width].reshape(-1, d))
-    out = GradBuffers(encoder.params) if grads is None else grads
-    rgcn_backward(encoder.rgcn, rcache, dh, out)
+    op_grad = None
     if op_ids is not None:
-        out.add(len(encoder.rgcn.params), dx[:, pooled_width:], rows=op_ids)
-    return out.dense() if grads is None else None
+        op_grad = np.zeros_like(encoder.op_table)
+        np.add.at(op_grad, op_ids, dx[:, pooled_width:])
+    return rgcn_backward(encoder.rgcn, rcache, dh) + [op_grad]

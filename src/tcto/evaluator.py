@@ -52,6 +52,7 @@ from .tabular import (
     Dataset,
     equal_width_bins,
     scaled_stat,
+    stratified_split,
 )
 
 _MIN_GAIN = 1e-12
@@ -486,15 +487,20 @@ def _too_few_for_cv(n: int, folds: int) -> bool:
     return n < folds or n - -(-n // folds) < 2
 
 
-def check_splits_for_cv(dataset: Dataset, train: Dataset, test: Dataset, folds: int) -> None:
-    """DataError naming the first of dataset's training and test splits
-    that has too few rows for folds-fold cross validation."""
+def cv_split(dataset: Dataset, test_fraction: float, seed: int, folds: int) -> tuple:
+    """The stratified (train, test) split that training and apply both score on.
+
+    Raises stratified_split's DataError for a part under 2 rows, then one
+    naming the first part with too few rows for folds-fold CV.
+    """
+    train, test = stratified_split(dataset, test_fraction, seed)
     for part, d in (("training", train), ("test", test)):
         if _too_few_for_cv(d.n_rows, folds):
             raise DataError(
                 f"the {part} split of the {dataset.n_rows}-row dataset has {d.n_rows} "
                 f"row(s), too few for {folds}-fold CV; use fewer folds or more rows"
             )
+    return train, test
 
 
 def _checked(X, y, task: str, cfg: EvalConfig) -> tuple:

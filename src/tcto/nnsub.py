@@ -4,11 +4,10 @@ Everything the value networks need and nothing more: forward, gradients
 of a scalar loss, SGD updates, and parameter copies between twin networks.
 
 Every trained object (a DenseNet here, the graph encoder in encoder.py)
-exposes its live arrays as one flat, ordered ``params`` list. An SGD step
-adds its gradients into a GradBuffers over such a list, which
-keeps a buffer only for the arrays that received a gradient and updates
-only those, so one set of helpers serves the value networks and the
-encoder alike.
+exposes its live arrays as one flat, ordered ``params`` list, and its
+backward pass returns one gradient per array, None for an array the loss
+does not reach. sgd_step applies such a list, so one helper serves the
+value networks and the encoder alike.
 """
 
 from __future__ import annotations
@@ -134,41 +133,18 @@ def backprop(net: DenseNet, cache, dy):
     return grads, (da[0] if squeeze else da)
 
 
-class GradBuffers:
-    """One SGD step's gradient buffers for a params list.
+def sgd_step(params: list, grads: list, lr: float) -> None:
+    """p -= lr * g for each array of params whose gradient g is not None.
 
-    add() adds g into the buffer of params[i], which starts at +0.0 on its
-    first add; an array that gets no gradient has no buffer,
-    and sgd_step() leaves it alone. Skipping it changes no bit: its update
-    would subtract lr * +0.0, and a sum that starts at +0.0 never becomes
-    -0.0, so adding a zero gradient to a buffer never changes it either.
+    It has the bits of a dense step over gradient sums that start at +0.0.
+    Skipping an array changes no bit against subtracting lr * +0.0, and a
+    -0.0 entry of g none against a +0.0 one: p - lr * (+-0.0) equals p for
+    every p but -0.0, and no trained entry is -0.0, since each starts as a
+    Glorot draw or a +0.0 bias and x - y is -0.0 only when x is.
     """
-
-    def __init__(self, params: list):
-        self.params = params
-        self.buffers: dict = {}
-
-    def add(self, i: int, g, rows=None) -> None:
-        """buffer[i] += g, or buffer[i][rows] += g, where a row listed twice
-        gets both of its rows of g, in order."""
-        buf = self.buffers.get(i)
-        if buf is None:
-            buf = self.buffers[i] = np.zeros_like(self.params[i])
-        if rows is None:
-            buf += g
-        else:
-            np.add.at(buf, rows, g)
-
-    def dense(self) -> list:
-        """Every gradient aligned with params, zeros where none was added."""
-        return [
-            self.buffers[i] if i in self.buffers else np.zeros_like(p)
-            for i, p in enumerate(self.params)
-        ]
-
-    def sgd_step(self, lr: float) -> None:
-        for i, g in self.buffers.items():
-            self.params[i] -= lr * g
+    for p, g in zip(params, grads, strict=True):
+        if g is not None:
+            p -= lr * g
 
 
 def copy_params(src: DenseNet, dst: DenseNet) -> None:

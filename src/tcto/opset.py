@@ -59,7 +59,6 @@ OPERATIONS: tuple[Operation, ...] = tuple(
 
 N_OPERATIONS = len(OPERATIONS)
 UNARY_OPERATIONS = tuple(op for op in OPERATIONS if op.arity == 1)
-BINARY_OPERATIONS = tuple(op for op in OPERATIONS if op.arity == 2)
 OP_BY_NAME = {op.name: op for op in OPERATIONS}
 
 

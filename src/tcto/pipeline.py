@@ -29,7 +29,7 @@ import numpy as np
 from . import agents as ag
 from . import encoder as enc
 from .clustering import cluster_nodes
-from .evaluator import EvalConfig, check_splits_for_cv, evaluate
+from .evaluator import EvalConfig, cv_split, evaluate
 from .opset import (
     N_OPERATIONS,
     OPERATIONS,
@@ -40,7 +40,7 @@ from .opset import (
 )
 from .reward import StepReward, step_reward
 from .roadmap import Roadmap
-from .tabular import STAT_DIM, DataError, Dataset, stratified_split
+from .tabular import STAT_DIM, DataError, Dataset
 
 
 class PipelineError(ValueError):
@@ -275,10 +275,9 @@ class Pipeline:
     def __init__(self, dataset: Dataset, cfg: RunConfig):
         self.cfg = cfg
         self.dataset = dataset
-        self.train_data, self.test_data = stratified_split(
-            dataset, cfg.test_fraction, cfg.seed
+        self.train_data, self.test_data = cv_split(
+            dataset, cfg.test_fraction, cfg.seed, cfg.eval.folds
         )
-        check_splits_for_cv(dataset, self.train_data, self.test_data, cfg.eval.folds)
         ss = np.random.SeedSequence([cfg.seed, 7])
         seed_params, seed_policy, seed_replay = ss.spawn(3)
         rng_params = np.random.default_rng(seed_params)

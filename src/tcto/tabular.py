@@ -112,16 +112,6 @@ class Dataset:
     def n_rows(self) -> int:
         return self.columns[0].shape[0]
 
-    @property
-    def n_features(self) -> int:
-        return len(self.columns)
-
-    @property
-    def n_classes(self) -> int:
-        if self.task != CLASSIFICATION:
-            raise DataError("n_classes is only defined for classification")
-        return int(self.labels.max()) + 1
-
     def matrix(self) -> np.ndarray:
         return np.column_stack(self.columns)
 

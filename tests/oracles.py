@@ -8,7 +8,7 @@ reuses the package's dense forward pass and backprop one transition at a
 time, with its own per-snapshot encoder passes, and checks the batching
 and the target max-Q memo of agents.train_step to rounding;
 dense_train_step_reference reuses its batched passes too and checks its
-gradient buffers bit for bit.
+sparse SGD step, which skips the arrays without a gradient, bit for bit.
 """
 
 import itertools
@@ -326,6 +326,11 @@ def _zero_grads(params):
     return [np.zeros_like(p) for p in params]
 
 
+def zeros_for_none(grads, params):
+    """A backward pass's gradient list with each None read as zeros."""
+    return [np.zeros_like(p) if g is None else g for g, p in zip(grads, params, strict=True)]
+
+
 def _add_grads(acc, grads, scale=1.0):
     for a, g in zip(acc, grads, strict=True):
         a += scale * g
@@ -469,8 +474,8 @@ def train_step_reference(agent, rng, *, gamma, lr, batch_size, encoder=None):
 def dense_train_step_reference(agent, rng, *, gamma, lr, batch_size, encoder=None):
     """agents.train_step in its dense form: the same batched passes over
     the minibatch and the same target max-Q memo, but the encoder's
-    backward pass returns its full list of gradients, every gradient is
-    added into a full zero accumulator, and SGD updates every array."""
+    gradients are read with zeros for None, every gradient is added into
+    a full zero accumulator, and SGD updates every array."""
     if len(agent.buffer) < batch_size:
         return None
     picks = rng.choice(len(agent.buffer), size=batch_size, replace=False)
@@ -508,7 +513,8 @@ def dense_train_step_reference(agent, rng, *, gamma, lr, batch_size, encoder=Non
     acc = _zero_grads(params)
     _add_grads(acc[: len(grads)], grads)
     if ctx:
-        _add_grads(acc[len(grads) :], enc.state_backward(encoder, state_cache, dx[ctx]))
+        enc_grads = enc.state_backward(encoder, state_cache, dx[ctx])
+        _add_grads(acc[len(grads) :], zeros_for_none(enc_grads, encoder.params))
     _sgd_step(params, acc, lr)
     return float(diff @ diff) / batch_size
 

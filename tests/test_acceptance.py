@@ -59,6 +59,7 @@ from oracles import (
     fd_close,
     plug_in_mi,
     random_graph,
+    zeros_for_none,
 )
 
 
@@ -81,7 +82,7 @@ def test_a1_replay_determinism():
         roadmap = Roadmap.from_dataset(data, lineage="t")
         columns = {
             i: np.asarray(data.columns[i], dtype=float)
-            for i in range(data.n_features)
+            for i in range(len(data.column_names))
         }
         grow_random_roadmap(roadmap, columns, rng, steps=10)
         incremental = np.column_stack([columns[i] for i in roadmap.alive_ids()])
@@ -236,7 +237,7 @@ def test_a3_encoder_matches_dense_oracle_and_finite_differences():
             return float(state_forward(encoder, [(graph, spec)])[0][0] @ probe)
 
         _, cache = state_forward(encoder, [(graph, spec)])
-        grads = state_backward(encoder, cache, probe[None, :])
+        grads = zeros_for_none(state_backward(encoder, cache, probe[None, :]), encoder.params)
         for analytic, weight in zip(grads, encoder.params, strict=True):
             if not fd_close(analytic, central_difference(loss, weight)):
                 fd_ok = False
@@ -249,7 +250,7 @@ def test_a3_encoder_matches_dense_oracle_and_finite_differences():
             return float(np.sum(state_forward(encoder, contexts)[0] * probes))
 
         _, cache = state_forward(encoder, contexts)
-        grads = state_backward(encoder, cache, probes)
+        grads = zeros_for_none(state_backward(encoder, cache, probes), encoder.params)
         for analytic, weight in zip(grads, encoder.params, strict=True):
             if not fd_close(analytic, central_difference(batch_loss, weight)):
                 batch_fd_ok = False
@@ -553,7 +554,7 @@ def test_a9_pruning_schedule_conformance(tmp_path):
     records = [
         json.loads(line) for line in (out / "steps.jsonl").read_text().splitlines()
     ]
-    budget = 4 * data.n_features
+    budget = 4 * len(data.column_names)
     cut = math.floor(episodes * 0.30)
     node_wise = [r for r in records if r["prune"] == "node_wise"]
     backtracks = [r for r in records if r["prune"] == "backtrack"]

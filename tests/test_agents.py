@@ -356,31 +356,14 @@ def test_without_an_encoder_the_stored_inputs_are_used_and_it_stays_frozen():
     assert np.array_equal(enc2.op_table, table_before)
 
 
-def test_context_free_transitions_leave_the_encoder_bit_identical():
-    enc2, _, _, agent = _encoded_setup(31)
-    rng = np.random.default_rng(32)
-    for _ in range(8):
-        push_transition(agent, _terminal(rng.normal(size=6), 1.0))
-    before = [p.copy() for p in enc2.params]
-    pred_before = [p.copy() for p in agent.prediction.params]
-    loss = train_step(
-        agent, np.random.default_rng(33), gamma=0.9, lr=0.05, batch_size=BATCH, encoder=enc2
-    )
-    assert loss is not None and loss > 0.0
-    for b, p in zip(before, enc2.params, strict=True):
-        assert b.tobytes() == p.tobytes()
-    assert any(
-        not np.array_equal(b, p) for b, p in zip(pred_before, agent.prediction.params)
-    )
+# -- sparse SGD steps and the target max-Q memo ----------------------------------------
 
 
-# -- sparse gradient buffers and the target max-Q memo ----------------------------------------
-
-
-def _random_transition(rng, role, state_dim):
+def _random_transition(rng, role, state_dim, with_encoder):
     """A transition for role over a random graph that uses at most 3 of the
-    encoder's 17 relations, or at most 5 of all 17, with or without a
-    state_ctx and with or without next candidates."""
+    encoder's 17 relations, or at most 5 of all 17, with a state_ctx
+    exactly when the agent trains an encoder, and with or without next
+    candidates."""
     n_rel = 3 if rng.random() < 0.5 else N_OPERATIONS
     stats, relations, parents = random_graph(rng, max_nodes=6, n_relations=n_rel)
     graph = GraphSnapshot(stats=stats, relations=relations, parents=parents)
@@ -391,7 +374,7 @@ def _random_transition(rng, role, state_dim):
         for _ in range(n_groups)
     )
     op_id = int(rng.integers(N_OPERATIONS)) if role == OPERAND else None
-    ctx = (graph, StateSpec(groups, op_id)) if rng.random() < 0.8 else None
+    ctx = (graph, StateSpec(groups, op_id)) if with_encoder else None
     n_next = 0 if rng.random() < 0.3 else int(rng.integers(1, 4))
     return Transition(
         state_input=rng.normal(size=state_dim),
@@ -419,12 +402,12 @@ def _train_twins(role, with_encoder, reference, seed, check):
     n_out = N_OPERATIONS if role == OPERATION else 1
     agent = make_agent(role, state_dim, n_out, 8, rng)
     for _ in range(BATCH - 1):
-        push_transition(agent, _random_transition(rng, role, state_dim))
+        push_transition(agent, _random_transition(rng, role, state_dim, with_encoder))
     ref_agent, ref_encoder = copy.deepcopy((agent, encoder))
     replay, ref_replay = np.random.default_rng(35), np.random.default_rng(35)
     batches = []
     for step in range(24):
-        t = _random_transition(rng, role, state_dim)
+        t = _random_transition(rng, role, state_dim, with_encoder)
         push_transition(agent, t)
         push_transition(ref_agent, copy.deepcopy(t))
         picks = copy.deepcopy(replay).choice(len(agent.buffer), size=BATCH, replace=False)
@@ -465,9 +448,10 @@ def test_batched_train_step_matches_the_per_transition_reference(role, with_enco
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     batches = _train_twins(role, with_encoder, train_step_reference, 36, check)
-    # The batches covered what the batched pass must get right.
-    encoded = [[t.state_ctx for t in b if t.state_ctx is not None] for b in batches]
-    assert any(0 < len(ctx) < BATCH for ctx in encoded)
+    if not with_encoder:
+        return
+    # The batches covered what the batched encoder pass must get right.
+    encoded = [[t.state_ctx for t in b] for b in batches]
     assert any(len({g.n_nodes for g, _ in ctx}) > 1 for ctx in encoded)
 
     def relations(graph):

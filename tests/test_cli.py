@@ -408,21 +408,22 @@ def test_train_on_a_column_at_the_float_limit_exits_zero(tmp_path, fast_config_p
     )
     csv_path = tmp_path / "huge.csv"
     write_csv(d, csv_path)
-    code = main(
-        [
-            "train",
-            "--data",
-            str(csv_path),
-            "--task",
-            "reg",
-            "--label",
-            "label",
-            "--out",
-            str(tmp_path / "run"),
-            "--config",
-            fast_config_path,
-        ]
-    )
+    with pytest.warns(UserWarning, match="stratification group"):
+        code = main(
+            [
+                "train",
+                "--data",
+                str(csv_path),
+                "--task",
+                "reg",
+                "--label",
+                "label",
+                "--out",
+                str(tmp_path / "run"),
+                "--config",
+                fast_config_path,
+            ]
+        )
     assert code == 0
     capsys.readouterr()
 

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from helpers import make_regression_dataset
-from oracles import central_difference, dense_rgcn, fd_close, random_graph, rgcn_forward_reference
+from oracles import (
+    central_difference,
+    dense_rgcn,
+    fd_close,
+    random_graph,
+    rgcn_forward_reference,
+    zeros_for_none,
+)
 from tcto.encoder import (
     Encoder,
     GraphSnapshot,
@@ -20,7 +27,7 @@ from tcto.encoder import (
     state_backward,
     state_forward,
 )
-from tcto.nnsub import GradBuffers
+from tcto.nnsub import sgd_step
 from tcto.opset import N_OPERATIONS, OP_BY_NAME, apply_unary
 from tcto.roadmap import Roadmap
 
@@ -224,7 +231,7 @@ def test_backward_matches_central_differences(seed):
         return float(np.sum(h * c))
 
     _, cache = rgcn_forward([graph], params)
-    grads = rgcn_backward(params, cache, c)
+    grads = zeros_for_none(rgcn_backward(params, cache, c), params.params)
     for g, w in zip(grads, params.params, strict=True):
         assert fd_close(g, central_difference(loss, w), tol=1e-4)
 
@@ -240,8 +247,9 @@ def test_relation_weights_without_edges_get_zero_gradient():
     width = N_REL + 1
     for l in range(2):
         assert np.any(grads[l * width + 0] != 0.0)
-        assert np.all(grads[l * width + 1] == 0.0)
-        assert np.all(grads[l * width + 2] == 0.0)
+        assert grads[l * width + 1] is None
+        assert grads[l * width + 2] is None
+        assert grads[l * width + N_REL].shape == params.layers[l][N_REL].shape
 
 
 def test_params_are_the_live_weights_layer_by_layer():
@@ -263,23 +271,31 @@ def test_backward_returns_one_gradient_per_param():
     graph = _snapshot(21, max_nodes=5)
     h, rcache = rgcn_forward([graph], enc.rgcn)
     rgrads = rgcn_backward(enc.rgcn, rcache, np.ones_like(h))
-    assert [g.shape for g in rgrads] == [w.shape for w in enc.rgcn.params]
+    assert len(rgrads) == len(enc.rgcn.params)
+    assert all(g is None or g.shape == w.shape for g, w in zip(rgrads, enc.rgcn.params))
 
-    spec = StateSpec(groups=((0,),), op_id=1)
-    x, cache = state_forward(enc, [(graph, spec)])
+    x, cache = state_forward(enc, [(graph, StateSpec(groups=((0,),), op_id=1))])
     grads = state_backward(enc, cache, np.ones_like(x))
-    assert [g.shape for g in grads] == [w.shape for w in enc.params]
+    assert len(grads) == len(enc.params)
+    assert grads[-1].shape == enc.op_table.shape
+    x, cache = state_forward(enc, [(graph, StateSpec(groups=((0,),)))])
+    assert state_backward(enc, cache, np.ones_like(x))[-1] is None
 
 
 def test_gradient_helpers_accumulate_and_step():
     params = RGCNParams.create(np.random.default_rng(10), dims=(7, 3), n_relations=N_REL)
-    acc = GradBuffers(params.params)
-    for _ in range(2):
-        for i, w in enumerate(params.params):
-            acc.add(i, 0.5 * np.ones_like(w))
-    before = params.layers[0][0].copy()
-    acc.sgd_step(lr=0.5)
-    assert np.allclose(params.layers[0][0], before - 0.5)
+    stats = np.random.default_rng(11).normal(size=(3, 7))
+    graph = GraphSnapshot(stats=stats, relations=np.array([-1, 0, 0]), parents=((), (0,), (0,)))
+    h, cache = rgcn_forward([graph], params)
+    grads = rgcn_backward(params, cache, np.ones_like(h))
+    assert [g is None for g in grads] == [False, True, True, False]
+    before = [w.copy() for w in params.params]
+    sgd_step(params.params, grads, lr=0.5)
+    for w, b, g in zip(params.params, before, grads, strict=True):
+        if g is None:
+            assert w.tobytes() == b.tobytes()
+        else:
+            assert np.array_equal(w, b - 0.5 * g)
 
 
 # -- composite states --------------------------------------------------------------
@@ -387,7 +403,7 @@ def test_state_gradients_match_central_differences(seed):
         return float(x[0] @ v)
 
     _, cache = state_forward(enc, [(graph, spec)])
-    grads = state_backward(enc, cache, v[None, :])
+    grads = zeros_for_none(state_backward(enc, cache, v[None, :]), enc.params)
     for g, w in zip(grads, enc.params, strict=True):
         assert fd_close(g, central_difference(loss, w), tol=1e-4)
 
@@ -398,11 +414,8 @@ def test_encoder_create_shapes_and_grad_plumbing():
     assert enc.out_dim == 64
     assert enc.op_table.shape == (N_OPERATIONS, 64)
 
-    acc = GradBuffers(enc.params)
-    for i, w in enumerate(enc.params):
-        acc.add(i, 2.0 * np.ones_like(w))
     before_w = enc.rgcn.layers[0][0].copy()
     before_t = enc.op_table.copy()
-    acc.sgd_step(lr=0.1)
+    sgd_step(enc.params, [2.0 * np.ones_like(w) for w in enc.params], lr=0.1)
     assert np.allclose(enc.rgcn.layers[0][0], before_w - 0.2)
     assert np.allclose(enc.op_table, before_t - 0.2)

@@ -9,7 +9,6 @@ from oracles import central_difference, fd_close
 from tcto import nnsub
 from tcto.nnsub import (
     DenseNet,
-    GradBuffers,
     backprop,
     clone,
     copy_params,
@@ -18,6 +17,7 @@ from tcto.nnsub import (
     glorot_uniform,
     matmul,
     matmul_t,
+    sgd_step,
 )
 
 
@@ -32,13 +32,6 @@ def _mse(net, x, target):
     diff = y - np.asarray(target, dtype=float)
     grads, _ = backprop(net, cache, 2.0 * diff)
     return float(np.sum(diff * diff)), grads
-
-
-def _sgd(params, grads, lr):
-    acc = GradBuffers(params)
-    for i, g in enumerate(grads):
-        acc.add(i, g)
-    acc.sgd_step(lr)
 
 
 # -- forward values ----------------------------------------------------------------
@@ -197,7 +190,7 @@ def test_sgd_with_zero_learning_rate_changes_nothing():
     before = [w.copy() for w in net.weights] + [b.copy() for b in net.biases]
     loss, grads = _mse(net, [1.0, -1.0], [0.5])
     assert loss > 0.0
-    _sgd(net.params, grads, lr=0.0)
+    sgd_step(net.params, grads, lr=0.0)
     after = list(net.weights) + list(net.biases)
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
@@ -209,41 +202,21 @@ def test_single_bias_quadratic_takes_the_textbook_step():
     net.biases[0][:] = 0.0
     loss, grads = _mse(net, [0.0], [1.0])
     assert loss == 1.0
-    _sgd(net.params, grads, lr=0.1)
+    sgd_step(net.params, grads, lr=0.1)
     assert net.biases[0][0] == pytest.approx(0.2, abs=1e-15)
     assert net.weights[0][0, 0] == 0.0
 
 
-def test_gradient_accumulation_scales_and_sums():
-    net = _net([2, 2], seed=6)
-    acc = GradBuffers(net.params)
-    _, g = _mse(net, [1.0, 2.0], [0.0, 0.0])
-    for _ in range(2):
-        for i, gi in enumerate(g):
-            acc.add(i, 0.5 * gi)
-    dense = acc.dense()
-    assert len(dense) == len(g) == 2
-    for a, gi in zip(dense, g):
-        assert np.allclose(a, gi)
-
-
-def test_buffers_hold_only_the_params_that_got_a_gradient():
+def test_sgd_step_moves_only_the_params_that_got_a_gradient():
     net = _net([2, 3, 1], seed=6)
     before = [p.copy() for p in net.params]
-    acc = GradBuffers(net.params)
-    acc.add(1, 0.5 * np.ones(3))
-    acc.add(1, 0.5 * np.ones(3))
-    acc.add(2, 0.5 * np.array([2.0]), rows=1)
-    assert sorted(acc.buffers) == [1, 2]
-    dense = acc.dense()
-    assert np.array_equal(dense[0], np.zeros((2, 3)))
-    assert np.array_equal(dense[1], np.ones(3))
-    assert np.array_equal(dense[2], [[0.0], [1.0], [0.0]])
-    acc.sgd_step(lr=0.5)
-    assert np.array_equal(net.params[1], before[1] - 0.5)
-    assert np.array_equal(net.params[2], before[2] - [[0.0], [0.5], [0.0]])
+    grads = [None, np.ones(3), np.array([[0.0], [-0.0], [2.0]]), None]
+    sgd_step(net.params, grads, lr=0.5)
     for i in (0, 3):
         assert net.params[i].tobytes() == before[i].tobytes()
+    for i in (1, 2):
+        assert np.array_equal(net.params[i], before[i] - 0.5 * grads[i])
+    assert net.params[2][:2].tobytes() == before[2][:2].tobytes()
 
 
 def test_hundred_sgd_steps_monotonically_fit_a_linear_toy():
@@ -253,15 +226,15 @@ def test_hundred_sgd_steps_monotonically_fit_a_linear_toy():
     net = _net([2, 4, 1], seed=7)
     losses = []
     for _ in range(100):
-        acc = GradBuffers(net.params)
+        acc = [np.zeros_like(p) for p in net.params]
         total = 0.0
         for x, y in zip(xs, ys):
             loss, grads = _mse(net, x, y)
             total += loss
-            for i, g in enumerate(grads):
-                acc.add(i, (1.0 / len(xs)) * g)
+            for a, g in zip(acc, grads):
+                a += (1.0 / len(xs)) * g
         losses.append(total / len(xs))
-        acc.sgd_step(lr=0.01)
+        sgd_step(net.params, acc, lr=0.01)
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
     assert losses[-1] < losses[0]
 

@@ -213,7 +213,7 @@ def test_best_roadmap_bytes_replay_to_the_best_score(trained):
 
 def test_prune_fires_exactly_when_the_budget_is_exceeded(trained):
     _, pipe, report = trained
-    budget = pipe.cfg.node_budget_factor * pipe.train_data.n_features
+    budget = pipe.cfg.node_budget_factor * len(pipe.train_data.column_names)
     cut = pipe._node_wise_episodes()
     for rec in report.records:
         assert (rec.prune != "none") == (rec.alive > budget)
@@ -221,7 +221,7 @@ def test_prune_fires_exactly_when_the_budget_is_exceeded(trained):
             assert rec.alive_after == rec.alive
         if rec.prune == "node_wise":
             assert rec.episode < cut
-            assert rec.alive_after <= budget + pipe.train_data.n_features
+            assert rec.alive_after <= budget + len(pipe.train_data.column_names)
         if rec.prune == "backtrack":
             assert rec.episode >= cut
 
@@ -327,6 +327,17 @@ def test_stat_only_mode_runs_without_an_encoder():
     assert [record_to_json(r) for r in report.records] == [
         record_to_json(r) for r in again.records
     ]
+
+
+@pytest.mark.parametrize("use_rgcn", [True, False])
+def test_transitions_carry_a_state_ctx_exactly_when_an_encoder_trains(use_rgcn):
+    cfg = _tiny_cfg(use_rgcn=use_rgcn, episodes=1, steps_per_episode=8)
+    pipe = Pipeline(_product_dataset(seed=13), cfg)
+    report = pipe.train()
+    assert (pipe.encoder is not None) == use_rgcn
+    assert any(rec.losses.get(HEAD) is not None for rec in report.records)
+    transitions = [t for a in pipe.agents.values() for t in a.buffer]
+    assert all((t.state_ctx is not None) == use_rgcn for t in transitions)
 
 
 def test_ablation_flags_reach_the_clustering(trained):
@@ -468,7 +479,8 @@ def test_memoised_scores_equal_direct_evaluation(monkeypatch):
 
 def test_train_and_test_scores_of_one_matrix_are_kept_apart(monkeypatch):
     calls = _count_evaluate_calls(monkeypatch)
-    pipe = Pipeline(_product_dataset(n=40), _tiny_cfg(test_fraction=0.5))
+    with pytest.warns(UserWarning, match="stratification group"):
+        pipe = Pipeline(_product_dataset(n=40), _tiny_cfg(test_fraction=0.5))
     train, test = pipe.train_data, pipe.test_data
     assert train.n_rows == test.n_rows
     matrix = np.random.default_rng(0).normal(size=(train.n_rows, 2))
