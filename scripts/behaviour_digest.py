@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Print two behaviour digests per (task, config) of a short in-process run.
 
-Each run trains a Pipeline and applies its policy on tcto.synth data, for
-regression and for a two-class version of the same labels (above or below
-their median), with 5 x 12 explore steps, 2 apply episodes, 2 folds, 2
-trees and depth 3, and once with the benchmark's forest size: 3 folds, 10
-trees and depth 5, whose training-split fits are big enough to be spread
-over processes. Each run prints two lines:
+Each run trains a Pipeline and applies its policy on tcto.synth data: for
+regression, for a two-class version of the same labels (above or below
+their median) and, as `reg1`, for regression on the first column alone.
+A one-column roadmap starts as one cluster, so only there does a binary
+operation meet a single cluster and fall back to a unary one. Every run
+has 5 x 12 explore steps, 2 apply episodes, 2 folds, 2 trees and depth 3,
+or the benchmark's forest size: 3 folds, 10 trees and depth 5, whose
+training-split fits are big enough to be spread over processes. Each run
+prints two lines:
 
 - `full`: the sha256 over every step record, both phases' best roadmaps
   and scores, and the JSON of Pipeline.checkpoint(). It is the same only
@@ -61,7 +64,8 @@ def datasets() -> dict:
     cls = replace(
         reg, labels=(reg.labels > np.median(reg.labels)).astype(float), task=CLASSIFICATION
     )
-    return {"reg": reg, "cls": cls}
+    reg1 = replace(reg, column_names=reg.column_names[:1], columns=reg.columns[:1])
+    return {"reg": reg, "cls": cls, "reg1": reg1}
 
 
 def digests(data, cfg: RunConfig) -> tuple:

@@ -179,13 +179,17 @@ def _phase_summary(report) -> dict:
     }
 
 
-def _cmd_apply(args) -> int:
-    roadmap_path = Path(args.roadmap)
+def _read_roadmap(path: Path) -> Roadmap:
     try:
-        blob = roadmap_path.read_bytes()
+        blob = path.read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read roadmap: {exc}") from exc
-    roadmap = Roadmap.import_json(blob)
+    return Roadmap.import_json(blob)
+
+
+def _cmd_apply(args) -> int:
+    roadmap_path = Path(args.roadmap)
+    roadmap = _read_roadmap(roadmap_path)
 
     config_path = roadmap_path.parent / "config.json"
     if not config_path.exists():
@@ -227,11 +231,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    try:
-        blob = Path(args.roadmap).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read roadmap: {exc}") from exc
-    roadmap = Roadmap.import_json(blob)
+    roadmap = _read_roadmap(Path(args.roadmap))
     if args.format == "json":
         sys.stdout.write(roadmap.export_json().decode("utf-8") + "\n")
     else:

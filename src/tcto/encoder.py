@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -100,28 +101,28 @@ def snapshot_from_roadmap(r) -> GraphSnapshot:
 
 
 @dataclass
-class RGCNParams:
-    """layers[l][r]: weight for relation r at layer l; r == n_relations is
-    the self-loop relation."""
+class Encoder:
+    """The RGCN weights and a learned per-operation embedding table.
+
+    layers[l][r] is the weight of relation r at layer l; r == n_relations
+    is the self-loop relation. op_table holds one row per operation.
+    """
 
     layers: list
     n_relations: int
+    op_table: np.ndarray
 
     @classmethod
     def create(cls, rng: np.random.Generator, dims=DEFAULT_DIMS, n_relations=N_OPERATIONS):
-        dims = list(dims)
-        layers = []
-        for d_in, d_out in zip(dims, dims[1:]):
-            layers.append(
-                [glorot_uniform(d_in, d_out, rng) for _ in range(n_relations + 1)]
-            )
-        return cls(layers=layers, n_relations=n_relations)
+        layers = [
+            [glorot_uniform(d_in, d_out, rng) for _ in range(n_relations + 1)]
+            for d_in, d_out in zip(dims, dims[1:])
+        ]
+        return cls(layers, n_relations, glorot_uniform(n_relations, dims[-1], rng))
 
     @property
     def dims(self) -> tuple:
-        return tuple(
-            [self.layers[0][0].shape[0]] + [layer[0].shape[1] for layer in self.layers]
-        )
+        return (self.layers[0][0].shape[0], *(layer[0].shape[1] for layer in self.layers))
 
     @property
     def out_dim(self) -> int:
@@ -129,11 +130,12 @@ class RGCNParams:
 
     @property
     def params(self) -> list:
-        """The live weights, layer by layer, relations in order within a layer."""
-        return [w for layer in self.layers for w in layer]
+        """The live weights: layer by layer, relations in order within a
+        layer, then the op table."""
+        return [w for layer in self.layers for w in layer] + [self.op_table]
 
 
-def rgcn_forward(graphs, params: RGCNParams):
+def rgcn_forward(graphs, encoder: Encoder):
     """Node embeddings of a batch of snapshots, and a cache for rgcn_backward.
 
     The batch is one block-diagonal graph: the snapshots' rows are stacked
@@ -143,15 +145,15 @@ def rgcn_forward(graphs, params: RGCNParams):
     batch of one gives the bits of that snapshot encoded alone.
     """
     graphs = tuple(graphs)
-    starts = _row_starts(graphs)
+    starts = list(accumulate((g.n_nodes for g in graphs), initial=0))
     order, spans = _relation_spans(graphs, starts)
-    self_idx = params.n_relations
+    self_idx = encoder.n_relations
     h = np.concatenate([np.asarray(g.stats, dtype=float) for g in graphs])
-    if h.shape[1] != params.dims[0]:
-        raise ValueError(f"stat dim {h.shape[1]} does not match encoder {params.dims[0]}")
-    last = len(params.layers) - 1
+    if h.shape[1] != encoder.dims[0]:
+        raise ValueError(f"stat dim {h.shape[1]} does not match encoder {encoder.dims[0]}")
+    last = len(encoder.layers) - 1
     inputs, msgs_all, pre = [], [], []
-    for l, layer in enumerate(params.layers):
+    for l, layer in enumerate(encoder.layers):
         msgs = _per_block(graphs, starts, h, transpose=False)[order]
         z = matmul(h, layer[self_idx])
         if spans:
@@ -164,22 +166,22 @@ def rgcn_forward(graphs, params: RGCNParams):
     return h, cache
 
 
-def rgcn_backward(params: RGCNParams, cache, d_out: np.ndarray) -> list:
+def rgcn_backward(encoder: Encoder, cache, d_out: np.ndarray) -> list:
     """Weight gradients of a scalar loss, given d(loss)/d(embeddings).
 
-    Returns a list aligned with params.params. Each weight's gradient sums
+    Returns a list aligned with encoder.params. Each weight's gradient sums
     over every node of the batch; a relation the batch does not contain
-    gets None.
+    gets None, and so does the op table, which no embedding reads.
     """
-    grads: list = [None] * len(params.params)
+    grads: list = [None] * len(encoder.params)
     graphs, starts, order, spans, inputs, msgs_all, pre = cache
-    width = params.n_relations + 1
-    self_idx = params.n_relations
-    last = len(params.layers) - 1
+    width = encoder.n_relations + 1
+    self_idx = encoder.n_relations
+    last = len(encoder.layers) - 1
     da = np.asarray(d_out, dtype=float)
     for l in range(last, -1, -1):
         dz = da if l == last else da * (pre[l] > 0.0)
-        layer = params.layers[l]
+        layer = encoder.layers[l]
         h, msgs = inputs[l], msgs_all[l]
         dz_rel = dz[order]
         grads[l * width + self_idx] = matmul_t(h, dz)
@@ -193,14 +195,6 @@ def rgcn_backward(params: RGCNParams, cache, d_out: np.ndarray) -> list:
                 )
             da = matmul(dz, layer[self_idx].T) + _per_block(graphs, starts, dmsgs, transpose=True)
     return grads
-
-
-def _row_starts(graphs) -> list:
-    """Each snapshot's first row in the stacked batch, then the row count."""
-    starts = [0]
-    for g in graphs:
-        starts.append(starts[-1] + g.n_nodes)
-    return starts
 
 
 def _relation_spans(graphs, starts):
@@ -229,28 +223,6 @@ def _per_block(graphs, starts, x, transpose):
 # -- composite agent states ----------------------------------------------
 
 
-@dataclass
-class Encoder:
-    """RGCN parameters plus a learned per-operation embedding table."""
-
-    rgcn: RGCNParams
-    op_table: np.ndarray
-
-    @classmethod
-    def create(cls, rng: np.random.Generator, dims=DEFAULT_DIMS, n_relations=N_OPERATIONS):
-        rgcn = RGCNParams.create(rng, dims=dims, n_relations=n_relations)
-        out = dims[-1]
-        return cls(rgcn=rgcn, op_table=glorot_uniform(n_relations, out, rng))
-
-    @property
-    def out_dim(self) -> int:
-        return self.rgcn.out_dim
-
-    @property
-    def params(self) -> list:
-        return self.rgcn.params + [self.op_table]
-
-
 @dataclass(frozen=True)
 class StateSpec:
     """Mean-pool each position group, concatenate, append an operation
@@ -270,14 +242,8 @@ def cluster_rep(embeddings: np.ndarray, positions) -> np.ndarray:
 def op_rep(encoder: Encoder | None, op_id: int) -> np.ndarray:
     """Learned op embedding, or the one-hot fallback without an encoder."""
     if encoder is None:
-        return op_one_hot_by_id(op_id)
+        return np.eye(N_OPERATIONS)[op_id]
     return encoder.op_table[op_id].copy()
-
-
-def op_one_hot_by_id(op_id: int) -> np.ndarray:
-    v = np.zeros(N_OPERATIONS)
-    v[op_id] = 1.0
-    return v
 
 
 def state_forward(encoder: Encoder, contexts):
@@ -293,11 +259,12 @@ def state_forward(encoder: Encoder, contexts):
     with_op = specs[0].op_id is not None
     if any(len(s.groups) != n_groups or (s.op_id is not None) != with_op for s in specs):
         raise ValueError("the states of a batch must share one layout")
-    members = [(a, g) for a, s in zip(_row_starts(graphs), specs) for g in s.groups]
+    h, rcache = rgcn_forward(graphs, encoder)
+    starts = rcache[1]  # each snapshot's first row of h
+    members = [(a, g) for a, s in zip(starts, specs) for g in s.groups]
     sizes = np.array([len(g) for _, g in members])
     if not sizes.all():
         raise ValueError("cannot pool an empty group")
-    h, rcache = rgcn_forward(graphs, encoder.rgcn)
     # pool_t[:, k] averages group k's rows, so pooling and its backward
     # pass are one product each.
     pool_t = np.zeros((h.shape[0], len(members)))
@@ -315,9 +282,9 @@ def state_backward(encoder: Encoder, cache, dx: np.ndarray) -> list:
     """Split dx, one row per state, back onto the pooled groups and the
     op_table rows.
 
-    Returns a list aligned with encoder.params: rgcn_backward's gradients,
-    then the op_table's, where an op_id listed twice gets both of its rows
-    of dx, or None when the states carry no op_id.
+    Returns rgcn_backward's list with the op_table's gradient in its slot,
+    where an op_id listed twice gets both of its rows of dx, or None when
+    the states carry no op_id.
     """
     pool_t, rcache, op_ids, shape = cache
     dx = np.asarray(dx, dtype=float)
@@ -326,8 +293,8 @@ def state_backward(encoder: Encoder, cache, dx: np.ndarray) -> list:
     d = encoder.out_dim
     pooled_width = shape[1] - (0 if op_ids is None else d)
     dh = matmul(pool_t, dx[:, :pooled_width].reshape(-1, d))
-    op_grad = None
+    grads = rgcn_backward(encoder, rcache, dh)
     if op_ids is not None:
-        op_grad = np.zeros_like(encoder.op_table)
-        np.add.at(op_grad, op_ids, dx[:, pooled_width:])
-    return rgcn_backward(encoder.rgcn, rcache, dh) + [op_grad]
+        grads[-1] = np.zeros_like(encoder.op_table)
+        np.add.at(grads[-1], op_ids, dx[:, pooled_width:])
+    return grads

@@ -13,7 +13,8 @@ tests/test_opset.py compares them with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,37 +30,8 @@ class Operation:
     id: int
     name: str
     arity: int
-    commutative: bool = False
-
-
-_UNARY_NAMES = (
-    "square",
-    "cube",
-    "sqrt",
-    "sin",
-    "cos",
-    "log",
-    "exp",
-    "tanh",
-    "sigmoid",
-    "reciprocal",
-    "stand_scaler",
-    "minmax_scaler",
-    "quantile_transform",
-)
-_BINARY_NAMES = ("add", "subtract", "multiply", "divide")
-_COMMUTATIVE = frozenset({"add", "multiply"})
-
-OPERATIONS: tuple[Operation, ...] = tuple(
-    Operation(i, name, 1) for i, name in enumerate(_UNARY_NAMES)
-) + tuple(
-    Operation(len(_UNARY_NAMES) + j, name, 2, name in _COMMUTATIVE)
-    for j, name in enumerate(_BINARY_NAMES)
-)
-
-N_OPERATIONS = len(OPERATIONS)
-UNARY_OPERATIONS = tuple(op for op in OPERATIONS if op.arity == 1)
-OP_BY_NAME = {op.name: op for op in OPERATIONS}
+    commutative: bool
+    compute: Callable = field(repr=False, compare=False)
 
 
 def _signed_eps(v: np.ndarray) -> np.ndarray:
@@ -87,63 +59,69 @@ def _average_ranks(v: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _stand_scaler(v: np.ndarray) -> np.ndarray:
+    sigma = float(v.std())
+    if sigma < EPSILON:
+        sigma = EPSILON
+    return (v - v.mean()) / sigma
+
+
+def _minmax_scaler(v: np.ndarray) -> np.ndarray:
+    lo, hi = float(v.min()), float(v.max())
+    span = hi - lo if hi > lo else EPSILON
+    return (v - lo) / span
+
+
+def _quantile_transform(v: np.ndarray) -> np.ndarray:
+    n = v.shape[0]
+    if n < 2:
+        return np.zeros_like(v)
+    return _average_ranks(v) / (n - 1.0)
+
+
+# (name, arity, commutative, computation), in operation-id order.
+_TABLE = (
+    ("square", 1, False, lambda v: v * v),
+    ("cube", 1, False, lambda v: v * v * v),
+    ("sqrt", 1, False, lambda v: np.sqrt(np.abs(v))),
+    ("sin", 1, False, np.sin),
+    ("cos", 1, False, np.cos),
+    ("log", 1, False, lambda v: np.log(np.abs(v) + EPSILON)),
+    ("exp", 1, False, lambda v: np.exp(np.clip(v, -EXP_CLAMP, EXP_CLAMP))),
+    ("tanh", 1, False, np.tanh),
+    ("sigmoid", 1, False, lambda v: np.array([_sigmoid(t) for t in v.tolist()])),
+    ("reciprocal", 1, False, lambda v: 1.0 / (v + _signed_eps(v))),
+    ("stand_scaler", 1, False, _stand_scaler),
+    ("minmax_scaler", 1, False, _minmax_scaler),
+    ("quantile_transform", 1, False, _quantile_transform),
+    ("add", 2, True, lambda a, b: a + b),
+    ("subtract", 2, False, lambda a, b: a - b),
+    ("multiply", 2, True, lambda a, b: a * b),
+    ("divide", 2, False, lambda a, b: a / (b + _signed_eps(b))),
+)
+
+OPERATIONS: tuple[Operation, ...] = tuple(Operation(i, *row) for i, row in enumerate(_TABLE))
+N_OPERATIONS = len(OPERATIONS)
+UNARY_OPERATIONS = tuple(op for op in OPERATIONS if op.arity == 1)
+OP_BY_NAME = {op.name: op for op in OPERATIONS}
+
+
+def _values(op: Operation, kind: str, *cols) -> np.ndarray:
+    cols = [np.asarray(c, dtype=float) for c in cols]
+    if op.arity != len(cols):
+        raise ValueError(f"{op.name!r} is not a {kind} operation")
+    with np.errstate(all="ignore"):
+        return op.compute(*cols)
+
+
 def unary_values(op: Operation, v) -> np.ndarray:
     """Raw unary computation without the rejection filter."""
-    v = np.asarray(v, dtype=float)
-    name = op.name
-    with np.errstate(all="ignore"):
-        if name == "square":
-            return v * v
-        if name == "cube":
-            return v * v * v
-        if name == "sqrt":
-            return np.sqrt(np.abs(v))
-        if name == "sin":
-            return np.sin(v)
-        if name == "cos":
-            return np.cos(v)
-        if name == "log":
-            return np.log(np.abs(v) + EPSILON)
-        if name == "exp":
-            return np.exp(np.clip(v, -EXP_CLAMP, EXP_CLAMP))
-        if name == "tanh":
-            return np.tanh(v)
-        if name == "sigmoid":
-            return np.array([_sigmoid(t) for t in v.tolist()])
-        if name == "reciprocal":
-            return 1.0 / (v + _signed_eps(v))
-        if name == "stand_scaler":
-            sigma = float(v.std())
-            if sigma < EPSILON:
-                sigma = EPSILON
-            return (v - v.mean()) / sigma
-        if name == "minmax_scaler":
-            lo, hi = float(v.min()), float(v.max())
-            span = hi - lo if hi > lo else EPSILON
-            return (v - lo) / span
-        if name == "quantile_transform":
-            n = v.shape[0]
-            if n < 2:
-                return np.zeros_like(v)
-            return _average_ranks(v) / (n - 1.0)
-    raise ValueError(f"{name!r} is not a unary operation")
+    return _values(op, "unary", v)
 
 
 def binary_values(op: Operation, a, b) -> np.ndarray:
     """Raw binary computation without the rejection filter."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    name = op.name
-    with np.errstate(all="ignore"):
-        if name == "add":
-            return a + b
-        if name == "subtract":
-            return a - b
-        if name == "multiply":
-            return a * b
-        if name == "divide":
-            return a / (b + _signed_eps(b))
-    raise ValueError(f"{name!r} is not a binary operation")
+    return _values(op, "binary", a, b)
 
 
 def _accept(out: np.ndarray) -> np.ndarray | None:

@@ -77,6 +77,10 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
+        # json reads NaN and Infinity, and NaN passes a bound like learning_rate's.
+        for key, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
         if self.episodes < 0 or self.steps_per_episode < 1:
             raise ConfigError("episodes must be >= 0 and steps_per_episode >= 1")
         if self.application_episodes < 0:
@@ -199,6 +203,9 @@ _TIMING_KEYS = (
 
 EXPLORE = "explore"
 APPLY = "apply"
+
+_ALL_IDS = [op.id for op in OPERATIONS]
+_UNARY_IDS = [op.id for op in UNARY_OPERATIONS]
 
 
 @dataclass
@@ -471,20 +478,14 @@ class Pipeline:
                 self.agents[agent_role], inputs, epsilon, self.rng_policy
             )
 
-    def _pick_operation(self, state_input: np.ndarray, epsilon: float) -> int:
+    def _pick_operation(self, state_input: np.ndarray, epsilon: float, ids) -> int:
+        """The id of an operation among ids: every id, or the unary ids at
+        epsilon 0 when a binary pick meets a single cluster."""
         if self.cfg.random_policy:
-            return int(self.rng_policy.integers(N_OPERATIONS))
+            return ids[int(self.rng_policy.integers(len(ids)))]
         with self._finite_q(ag.OPERATION):
             q = ag.operation_q_values(self.agents[ag.OPERATION], state_input)
-            return ag.epsilon_greedy(q, epsilon, self.rng_policy)
-
-    def _fallback_unary(self, state_input: np.ndarray) -> int:
-        if self.cfg.random_policy:
-            return int(self.rng_policy.integers(len(UNARY_OPERATIONS)))
-        unary_ids = [op.id for op in UNARY_OPERATIONS]
-        with self._finite_q(ag.OPERATION):
-            q = ag.operation_q_values(self.agents[ag.OPERATION], state_input)
-            return unary_ids[ag.epsilon_greedy(q[unary_ids], 0.0, self.rng_policy)]
+            return ids[ag.epsilon_greedy(q[ids], epsilon, self.rng_policy)]
 
     @contextmanager
     def _finite_q(self, role: str):
@@ -539,7 +540,7 @@ class Pipeline:
         graph = enc.snapshot_from_roadmap(roadmap)
         h = graph.stats
         if self.cfg.use_rgcn:
-            h, _ = enc.rgcn_forward([graph], self.encoder.rgcn)
+            h, _ = enc.rgcn_forward([graph], self.encoder)
             # Clustering squares h, so its squares must be finite too.
             self._refuse_non_finite("the node embeddings", [(h * h).sum()])
         groups = cluster_nodes(
@@ -566,11 +567,11 @@ class Pipeline:
         head_idx = self._pick_index(ag.HEAD, head_inputs, epsilon)
         head_input = head_inputs[head_idx]
         self._complete_pending(ep, ag.OPERATION, [head_input])
-        op = OPERATIONS[self._pick_operation(head_input, epsilon)]
+        op = OPERATIONS[self._pick_operation(head_input, epsilon, _ALL_IDS)]
         if op.arity == 1:
             return _Decision(head_idx, head_input, op)
         if len(cl.groups) < 2:
-            fallback = OPERATIONS[self._fallback_unary(head_input)]
+            fallback = OPERATIONS[self._pick_operation(head_input, 0.0, _UNARY_IDS)]
             return _Decision(head_idx, head_input, fallback, fallback=True)
         o_rep = enc.op_rep(self.encoder, op.id)
         tail_indices = [j for j in range(len(cl.groups)) if j != head_idx]

@@ -361,6 +361,7 @@ class Roadmap:
         lines = ["digraph roadmap {"]
         for n in self.alive_nodes():
             label = f"{n.id}:{n.origin_name}" if n.is_root else f"{n.id}:{n.op.name}"
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  n{n.id} [label="{label}"];')
         for p, c, op in self.alive_edges():
             lines.append(f'  n{p} -> n{c} [label="{op.name}"];')

@@ -9,6 +9,9 @@ time, with its own per-snapshot encoder passes, and checks the batching
 and the target max-Q memo of agents.train_step to rounding;
 dense_train_step_reference reuses its batched passes too and checks its
 sparse SGD step, which skips the arrays without a gradient, bit for bit.
+opset_reference reuses the helpers of tcto.opset (the sigmoid and the
+average ranks, which tests/test_opset.py holds to scipy, and the signed
+guard) and checks the operation table's dispatch only.
 """
 
 import itertools
@@ -18,6 +21,64 @@ import numpy as np
 
 from tcto import encoder as enc
 from tcto.nnsub import backprop, forward, forward_cache
+from tcto.opset import EPSILON, EXP_CLAMP, _average_ranks, _sigmoid, _signed_eps
+
+
+def opset_reference(op, *cols):
+    """unary_values or binary_values by op's arity, as they were before the
+    operation table: one if-chain per arity over the operation's name."""
+    if len(cols) == 1:
+        v = np.asarray(cols[0], dtype=float)
+        name = op.name
+        with np.errstate(all="ignore"):
+            if name == "square":
+                return v * v
+            if name == "cube":
+                return v * v * v
+            if name == "sqrt":
+                return np.sqrt(np.abs(v))
+            if name == "sin":
+                return np.sin(v)
+            if name == "cos":
+                return np.cos(v)
+            if name == "log":
+                return np.log(np.abs(v) + EPSILON)
+            if name == "exp":
+                return np.exp(np.clip(v, -EXP_CLAMP, EXP_CLAMP))
+            if name == "tanh":
+                return np.tanh(v)
+            if name == "sigmoid":
+                return np.array([_sigmoid(t) for t in v.tolist()])
+            if name == "reciprocal":
+                return 1.0 / (v + _signed_eps(v))
+            if name == "stand_scaler":
+                sigma = float(v.std())
+                if sigma < EPSILON:
+                    sigma = EPSILON
+                return (v - v.mean()) / sigma
+            if name == "minmax_scaler":
+                lo, hi = float(v.min()), float(v.max())
+                span = hi - lo if hi > lo else EPSILON
+                return (v - lo) / span
+            if name == "quantile_transform":
+                n = v.shape[0]
+                if n < 2:
+                    return np.zeros_like(v)
+                return _average_ranks(v) / (n - 1.0)
+        raise ValueError(f"{name!r} is not a unary operation")
+    a = np.asarray(cols[0], dtype=float)
+    b = np.asarray(cols[1], dtype=float)
+    name = op.name
+    with np.errstate(all="ignore"):
+        if name == "add":
+            return a + b
+        if name == "subtract":
+            return a - b
+        if name == "multiply":
+            return a * b
+        if name == "divide":
+            return a / (b + _signed_eps(b))
+    raise ValueError(f"{name!r} is not a binary operation")
 
 
 def stats7(values):
@@ -403,7 +464,7 @@ def _rgcn_backward_reference(params, cache, d_out):
 
 
 def _state_forward_reference(encoder, graph, spec):
-    h, rcache = rgcn_forward_reference(graph, encoder.rgcn)
+    h, rcache = rgcn_forward_reference(graph, encoder)
     parts = [h[list(g)].mean(axis=0) for g in spec.groups]
     if spec.op_id is not None:
         parts.append(encoder.op_table[spec.op_id])
@@ -425,7 +486,9 @@ def _state_backward_reference(encoder, cache, dx):
         offset += d
     if offset != dx.shape[0]:
         raise ValueError("dx length does not match the state layout")
-    return _rgcn_backward_reference(encoder.rgcn, rcache, dh) + [op_grads]
+    grads = _rgcn_backward_reference(encoder, rcache, dh)
+    grads[-1] = op_grads
+    return grads
 
 
 def train_step_reference(agent, rng, *, gamma, lr, batch_size, encoder=None):

@@ -35,7 +35,6 @@ from tcto.clustering import (
 from tcto.encoder import (
     Encoder,
     GraphSnapshot,
-    RGCNParams,
     StateSpec,
     rgcn_forward,
     state_backward,
@@ -210,7 +209,7 @@ def test_a3_encoder_matches_dense_oracle_and_finite_differences():
     for seed in range(50):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 41]))
         stats, relations, parents = random_graph(rng, max_nodes=5, n_relations=3)
-        params = RGCNParams.create(rng, dims=(7, 4, 6), n_relations=3)
+        params = Encoder.create(rng, dims=(7, 4, 6), n_relations=3)
         graph = GraphSnapshot(stats=stats, relations=relations, parents=parents)
         got, _ = rgcn_forward([graph], params)
         want = dense_rgcn(stats, relations, parents, params.layers, 3)
@@ -220,7 +219,7 @@ def test_a3_encoder_matches_dense_oracle_and_finite_differences():
     for seed in range(50):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 45]))
         graphs = _graphs_of_different_sizes(rng, 3 + seed % 3, 3)
-        params = RGCNParams.create(rng, dims=(7, 4, 6), n_relations=3)
+        params = Encoder.create(rng, dims=(7, 4, 6), n_relations=3)
         got, _ = rgcn_forward(graphs, params)
         start = 0
         for g in graphs:

@@ -326,14 +326,14 @@ def test_training_updates_the_encoder_parameters():
             ),
         )
     table_before = enc2.op_table.copy()
-    w_before = enc2.rgcn.layers[0][enc2.rgcn.n_relations].copy()
+    w_before = enc2.layers[0][enc2.n_relations].copy()
     loss = train_step(
         agent, np.random.default_rng(28), gamma=0.95, lr=0.05, batch_size=BATCH, encoder=enc2
     )
     assert loss is not None and loss > 0.0
     assert np.any(enc2.op_table[1] != table_before[1])
     assert np.array_equal(enc2.op_table[0], table_before[0])
-    assert np.any(enc2.rgcn.layers[0][enc2.rgcn.n_relations] != w_before)
+    assert np.any(enc2.layers[0][enc2.n_relations] != w_before)
 
 
 def test_without_an_encoder_the_stored_inputs_are_used_and_it_stays_frozen():

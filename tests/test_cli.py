@@ -1,13 +1,14 @@
 """Command line interface: artifacts, exit codes, configuration."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from tcto import cli, evaluator
 from tcto.cli import main
-from tcto.pipeline import Pipeline, config_from_dict
+from tcto.pipeline import Pipeline, RunConfig, config_from_dict, config_to_dict
 from tcto.roadmap import Roadmap
 from tcto.synth import synthetic_regression, write_csv
 from tcto.tabular import CLASSIFICATION, Dataset
@@ -249,6 +250,18 @@ def test_a_config_value_of_the_wrong_json_type_exits_one(tmp_path, capsys, key, 
     code, out = _train(tmp_path, {**FAST_CONFIG, key: value})
     assert code == 1
     assert capsys.readouterr().err.startswith(f"tcto: config key {key!r}")
+    assert not out.exists()
+
+
+FLOAT_KEYS = [k for k, v in config_to_dict(RunConfig()).items() if isinstance(v, float)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_a_non_finite_config_value_exits_one(tmp_path, capsys, key, value):
+    code, out = _train(tmp_path, {**FAST_CONFIG, key: value})
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"tcto: config key {key!r} must be finite")
     assert not out.exists()
 
 

@@ -15,10 +15,8 @@ from oracles import (
 from tcto.encoder import (
     Encoder,
     GraphSnapshot,
-    RGCNParams,
     StateSpec,
     cluster_rep,
-    op_one_hot_by_id,
     op_rep,
     rgcn_backward,
     rgcn_forward,
@@ -104,7 +102,7 @@ def test_snapshot_drops_parent_links_to_dead_nodes():
 
 
 def test_single_root_uses_only_the_self_loop_weights():
-    params = RGCNParams.create(np.random.default_rng(0), dims=SMALL_DIMS, n_relations=N_REL)
+    params = Encoder.create(np.random.default_rng(0), dims=SMALL_DIMS, n_relations=N_REL)
     stats = np.random.default_rng(1).normal(size=(1, 7))
     graph = GraphSnapshot(stats=stats, relations=np.array([-1]), parents=((),))
     h, _ = rgcn_forward([graph], params)
@@ -113,7 +111,7 @@ def test_single_root_uses_only_the_self_loop_weights():
 
 
 def test_two_parent_messages_are_averaged_single_layer():
-    params = RGCNParams.create(np.random.default_rng(2), dims=(7, 3), n_relations=N_REL)
+    params = Encoder.create(np.random.default_rng(2), dims=(7, 3), n_relations=N_REL)
     stats = np.random.default_rng(3).normal(size=(3, 7))
     graph = GraphSnapshot(
         stats=stats, relations=np.array([-1, -1, 1]), parents=((), (), (0, 1))
@@ -128,7 +126,7 @@ def test_two_parent_messages_are_averaged_single_layer():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_forward_matches_the_dense_oracle(seed):
-    params = RGCNParams.create(
+    params = Encoder.create(
         np.random.default_rng(1000 + seed), dims=SMALL_DIMS, n_relations=N_REL
     )
     graph = _snapshot(seed)
@@ -141,7 +139,7 @@ def test_forward_matches_the_dense_oracle(seed):
 def test_a_batch_of_one_gives_the_bits_of_the_per_graph_pass(dims):
     for seed in range(40):
         rng = np.random.default_rng([seed, 61])
-        params = RGCNParams.create(rng, dims=dims, n_relations=N_OPERATIONS)
+        params = Encoder.create(rng, dims=dims, n_relations=N_OPERATIONS)
         stats, relations, parents = random_graph(
             rng, max_nodes=12, n_relations=N_OPERATIONS
         )
@@ -152,7 +150,7 @@ def test_a_batch_of_one_gives_the_bits_of_the_per_graph_pass(dims):
 
 
 def test_a_batch_stacks_the_embeddings_of_each_snapshot():
-    params = RGCNParams.create(np.random.default_rng(22), dims=SMALL_DIMS, n_relations=N_REL)
+    params = Encoder.create(np.random.default_rng(22), dims=SMALL_DIMS, n_relations=N_REL)
     graphs = [_snapshot(seed, max_nodes=6) for seed in (3, 4, 5, 6)]
     h, _ = rgcn_forward(graphs, params)
     assert h.shape == (sum(g.n_nodes for g in graphs), SMALL_DIMS[-1])
@@ -164,7 +162,7 @@ def test_a_batch_stacks_the_embeddings_of_each_snapshot():
 
 
 def test_forward_is_equivariant_under_node_relabeling():
-    params = RGCNParams.create(np.random.default_rng(4), dims=SMALL_DIMS, n_relations=N_REL)
+    params = Encoder.create(np.random.default_rng(4), dims=SMALL_DIMS, n_relations=N_REL)
     graph = _snapshot(9, max_nodes=5)
     m = graph.n_nodes
     if m < 2:
@@ -183,7 +181,7 @@ def test_forward_is_equivariant_under_node_relabeling():
 
 
 def test_forward_reuses_the_snapshots_read_only_structure():
-    params = RGCNParams.create(np.random.default_rng(8), dims=SMALL_DIMS, n_relations=N_REL)
+    params = Encoder.create(np.random.default_rng(8), dims=SMALL_DIMS, n_relations=N_REL)
     graph = _snapshot(3, max_nodes=8)
     h1, _ = rgcn_forward([graph], params)
     operator, relation_rows = graph.message_operator, graph.relation_rows
@@ -197,7 +195,7 @@ def test_forward_reuses_the_snapshots_read_only_structure():
 
 
 def test_forward_rejects_wrong_stat_width():
-    params = RGCNParams.create(np.random.default_rng(6), dims=SMALL_DIMS, n_relations=N_REL)
+    params = Encoder.create(np.random.default_rng(6), dims=SMALL_DIMS, n_relations=N_REL)
     graph = GraphSnapshot(
         stats=np.zeros((2, 5)), relations=np.array([-1, -1]), parents=((), ())
     )
@@ -211,7 +209,7 @@ def test_forward_rejects_wrong_stat_width():
 def _kink_free_case(seed):
     for attempt in range(100):
         rng = np.random.default_rng([seed, attempt])
-        params = RGCNParams.create(rng, dims=SMALL_DIMS, n_relations=N_REL)
+        params = Encoder.create(rng, dims=SMALL_DIMS, n_relations=N_REL)
         stats, relations, parents = random_graph(rng, max_nodes=4, n_relations=N_REL)
         graph = GraphSnapshot(stats=stats, relations=relations, parents=parents)
         _, cache = rgcn_forward([graph], params)
@@ -237,7 +235,7 @@ def test_backward_matches_central_differences(seed):
 
 
 def test_relation_weights_without_edges_get_zero_gradient():
-    params = RGCNParams.create(np.random.default_rng(8), dims=SMALL_DIMS, n_relations=N_REL)
+    params = Encoder.create(np.random.default_rng(8), dims=SMALL_DIMS, n_relations=N_REL)
     stats = np.random.default_rng(9).normal(size=(2, 7))
     graph = GraphSnapshot(
         stats=stats, relations=np.array([-1, 0]), parents=((), (0,))
@@ -253,26 +251,25 @@ def test_relation_weights_without_edges_get_zero_gradient():
 
 
 def test_params_are_the_live_weights_layer_by_layer():
-    params = RGCNParams.create(np.random.default_rng(17), dims=SMALL_DIMS, n_relations=N_REL)
+    params = Encoder.create(np.random.default_rng(17), dims=SMALL_DIMS, n_relations=N_REL)
     flat = params.params
-    assert len(flat) == 2 * (N_REL + 1)
+    assert len(flat) == 2 * (N_REL + 1) + 1
     assert flat[N_REL + 1] is params.layers[1][0]
-    flat[-1][0, 0] = 42.0
+    flat[-2][0, 0] = 42.0
     assert params.layers[1][N_REL][0, 0] == 42.0
-
-    enc = Encoder.create(np.random.default_rng(18), dims=SMALL_DIMS, n_relations=N_REL)
-    assert enc.params[-1] is enc.op_table
-    enc.params[0][0, 0] = -7.0
-    assert enc.rgcn.layers[0][0][0, 0] == -7.0
+    assert flat[-1] is params.op_table
+    flat[0][0, 0] = -7.0
+    assert params.layers[0][0][0, 0] == -7.0
 
 
 def test_backward_returns_one_gradient_per_param():
     enc = Encoder.create(np.random.default_rng(19), dims=SMALL_DIMS, n_relations=N_REL)
     graph = _snapshot(21, max_nodes=5)
-    h, rcache = rgcn_forward([graph], enc.rgcn)
-    rgrads = rgcn_backward(enc.rgcn, rcache, np.ones_like(h))
-    assert len(rgrads) == len(enc.rgcn.params)
-    assert all(g is None or g.shape == w.shape for g, w in zip(rgrads, enc.rgcn.params))
+    h, rcache = rgcn_forward([graph], enc)
+    rgrads = rgcn_backward(enc, rcache, np.ones_like(h))
+    assert len(rgrads) == len(enc.params)
+    assert all(g is None or g.shape == w.shape for g, w in zip(rgrads, enc.params))
+    assert rgrads[-1] is None
 
     x, cache = state_forward(enc, [(graph, StateSpec(groups=((0,),), op_id=1))])
     grads = state_backward(enc, cache, np.ones_like(x))
@@ -283,12 +280,12 @@ def test_backward_returns_one_gradient_per_param():
 
 
 def test_gradient_helpers_accumulate_and_step():
-    params = RGCNParams.create(np.random.default_rng(10), dims=(7, 3), n_relations=N_REL)
+    params = Encoder.create(np.random.default_rng(10), dims=(7, 3), n_relations=N_REL)
     stats = np.random.default_rng(11).normal(size=(3, 7))
     graph = GraphSnapshot(stats=stats, relations=np.array([-1, 0, 0]), parents=((), (0,), (0,)))
     h, cache = rgcn_forward([graph], params)
     grads = rgcn_backward(params, cache, np.ones_like(h))
-    assert [g is None for g in grads] == [False, True, True, False]
+    assert [g is None for g in grads] == [False, True, True, False, True]
     before = [w.copy() for w in params.params]
     sgd_step(params.params, grads, lr=0.5)
     for w, b, g in zip(params.params, before, grads, strict=True):
@@ -318,7 +315,7 @@ def test_op_rep_copies_the_table_row_or_falls_back_to_one_hot():
     hot = op_rep(None, 3)
     assert hot.shape == (N_OPERATIONS,)
     assert hot[3] == 1.0 and hot.sum() == 1.0
-    assert np.array_equal(op_one_hot_by_id(3), hot)
+    assert np.array_equal(hot, np.eye(N_OPERATIONS)[3])
 
 
 def test_state_forward_concatenates_pooled_groups_and_op_row():
@@ -329,7 +326,7 @@ def test_state_forward_concatenates_pooled_groups_and_op_row():
         pytest.skip("degenerate sample")
     spec = StateSpec(groups=((0,), tuple(range(m))), op_id=1)
     x, _ = state_forward(enc, [(graph, spec)])
-    h, _ = rgcn_forward([graph], enc.rgcn)
+    h, _ = rgcn_forward([graph], enc)
     d = enc.out_dim
     assert x.shape == (1, 3 * d)
     x = x[0]
@@ -388,7 +385,7 @@ def test_state_gradients_match_central_differences(seed):
         enc = Encoder.create(rng, dims=SMALL_DIMS, n_relations=N_REL)
         stats, relations, parents = random_graph(rng, max_nodes=4, n_relations=N_REL)
         graph = GraphSnapshot(stats=stats, relations=relations, parents=parents)
-        _, rcache = rgcn_forward([graph], enc.rgcn)
+        _, rcache = rgcn_forward([graph], enc)
         pre = rcache[-1]
         if min(float(np.abs(z).min()) for z in pre[:-1]) > 1e-3:
             break
@@ -410,12 +407,12 @@ def test_state_gradients_match_central_differences(seed):
 
 def test_encoder_create_shapes_and_grad_plumbing():
     enc = Encoder.create(np.random.default_rng(16))
-    assert enc.rgcn.dims == (7, 32, 64)
+    assert enc.dims == (7, 32, 64)
     assert enc.out_dim == 64
     assert enc.op_table.shape == (N_OPERATIONS, 64)
 
-    before_w = enc.rgcn.layers[0][0].copy()
+    before_w = enc.layers[0][0].copy()
     before_t = enc.op_table.copy()
     sgd_step(enc.params, [2.0 * np.ones_like(w) for w in enc.params], lr=0.1)
-    assert np.allclose(enc.rgcn.layers[0][0], before_w - 0.2)
+    assert np.allclose(enc.layers[0][0], before_w - 0.2)
     assert np.allclose(enc.op_table, before_t - 0.2)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 from scipy.stats import rankdata
 
+from oracles import opset_reference
 from tcto.opset import (
     EPSILON,
     N_OPERATIONS,
@@ -258,3 +259,34 @@ columns = st.one_of(st.lists(edge_floats, min_size=2, max_size=40), tie_heavy).m
 def test_quantile_transform_matches_rankdata_bit_for_bit(v):
     want = (rankdata(v, method="average") - 1.0) / (v.size - 1.0)
     assert _same_bits(unary_values(OP_BY_NAME["quantile_transform"], v), want)
+
+
+# -- the operation table against the if-chain it replaced --------------------------
+
+reference_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300]),
+)
+
+
+def _column_pair(n):
+    column = st.one_of(
+        st.lists(reference_floats, min_size=n, max_size=n),
+        # a pool of at most three values, so most columns are full of ties
+        st.lists(reference_floats, min_size=1, max_size=3).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+        ),
+    ).map(np.array)
+    return st.tuples(column, column)
+
+
+@pytest.mark.parametrize("op", OPERATIONS, ids=lambda op: op.name)
+@given(st.integers(1, 30).flatmap(_column_pair))
+@example((np.array([1e300]), np.array([-1e300])))
+@example((np.zeros(4), np.array([0.0, -0.0, 0.0, -0.0])))
+@example((np.array([2.0, 2.0, -1e300, 2.0]), np.array([1e300, 0.0, 0.0, 1e300])))
+@settings(max_examples=100)
+def test_each_operation_gives_the_bits_of_the_if_chain_reference(op, cols):
+    cols = cols[: op.arity]
+    got = unary_values(op, *cols) if op.arity == 1 else binary_values(op, *cols)
+    assert _same_bits(got, opset_reference(op, *cols))

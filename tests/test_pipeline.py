@@ -3,6 +3,7 @@
 import base64
 import copy
 import json
+import math
 import re
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from helpers import alive_edge_matrix
 from tcto.agents import BUFFER_CAPACITY, HEAD, OPERAND, OPERATION
 from tcto.encoder import squash_stats
 from tcto.evaluator import _MODELS, EvalConfig, evaluate
+from tcto.opset import OP_BY_NAME, OPERATIONS, UNARY_OPERATIONS
 from tcto.pipeline import (
     APPLY,
     ConfigError,
@@ -139,6 +141,16 @@ def test_readme_configuration_table_matches_the_program():
 def test_run_config_bounds(kw):
     with pytest.raises(ConfigError):
         RunConfig(**kw)
+
+
+FLOAT_KEYS = [k for k, v in config_to_dict(RunConfig()).items() if isinstance(v, float)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_a_non_finite_float_value_is_refused_by_its_key(key, value):
+    with pytest.raises(ConfigError, match=f"config key '{key}' must be finite"):
+        config_from_dict({key: value})
 
 
 def test_a_batch_larger_than_the_replay_buffer_is_refused():
@@ -585,7 +597,7 @@ def test_checkpoint_mode_mismatch_is_rejected():
         with pytest.raises(PipelineError):
             target.load_checkpoint(no_mode)
 
-    per_layer = trained_pipe.encoder.rgcn.n_relations + 1
+    per_layer = trained_pipe.encoder.n_relations + 1
     one_layer = copy.deepcopy(cp)
     del one_layer["encoder"][per_layer:]
     three_relations = copy.deepcopy(cp)
@@ -602,7 +614,7 @@ def _v1_layout(pipe):
             "biases": [b.tolist() for b in n.biases],
         }
 
-    rgcn = pipe.encoder.rgcn
+    encoder = pipe.encoder
     return {
         "version": 1,
         "use_rgcn": True,
@@ -611,9 +623,9 @@ def _v1_layout(pipe):
             for role, a in pipe.agents.items()
         },
         "encoder": {
-            "n_relations": rgcn.n_relations,
-            "layers": [[w.tolist() for w in layer] for layer in rgcn.layers],
-            "op_table": pipe.encoder.op_table.tolist(),
+            "n_relations": encoder.n_relations,
+            "layers": [[w.tolist() for w in layer] for layer in encoder.layers],
+            "op_table": encoder.op_table.tolist(),
         },
     }
 
@@ -742,3 +754,50 @@ def test_awkward_data_trains_and_applies_or_is_refused(run):
         return
     for report in reports:
         assert np.isfinite([report.best_score, report.test_score]).all()
+
+
+# -- unary fallback ----------------------------------------------------------------
+
+
+def _one_column_dataset(n=60, seed=0):
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-3.0, 3.0, size=n)
+    y = np.sin(x0) + 0.05 * rng.normal(size=n)
+    return Dataset(column_names=("a",), columns=(x0,), labels=y, task="regression")
+
+
+@pytest.mark.parametrize("use_rgcn", [True, False])
+@pytest.mark.parametrize("random_policy", [False, True])
+def test_a_binary_pick_on_one_cluster_falls_back_to_a_unary_one(
+    monkeypatch, use_rgcn, random_policy
+):
+    """Only one column gives a single cluster, so only it reaches the fallback.
+    Its pick draws integers(13) under the random policy and nothing under
+    the learned one."""
+    unary_ids = [op.id for op in UNARY_OPERATIONS]
+    picks = []
+    real_pick = Pipeline._pick_operation
+
+    def recording_pick(self, state_input, epsilon, ids):
+        before = copy.deepcopy(self.rng_policy.bit_generator.state)
+        chosen = real_pick(self, state_input, epsilon, ids)
+        if list(ids) == unary_ids:
+            picks.append((epsilon, before, self.rng_policy.bit_generator.state, chosen))
+        return chosen
+
+    monkeypatch.setattr(Pipeline, "_pick_operation", recording_pick)
+    cfg = _tiny_cfg(use_rgcn=use_rgcn, random_policy=random_policy, episodes=4)
+    pipe = Pipeline(_one_column_dataset(), cfg)
+    records = pipe.train().records + pipe.apply_policy().records
+    fallbacks = [rec for rec in records if rec.fallback]
+    assert fallbacks and len(fallbacks) == len(picks)
+    assert all(OP_BY_NAME[rec.operation].arity == 1 for rec in fallbacks)
+    for (epsilon, before, after, chosen), rec in zip(picks, fallbacks):
+        assert epsilon == 0.0 and rec.operation == OPERATIONS[chosen].name
+        if random_policy:
+            replay = np.random.default_rng()
+            replay.bit_generator.state = before
+            assert unary_ids[int(replay.integers(len(unary_ids)))] == chosen
+            assert replay.bit_generator.state == after
+        else:
+            assert after == before

@@ -1,6 +1,8 @@
 """Roadmap growth, dedup and revival, replay, pruning and serialization."""
 
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -435,6 +437,19 @@ def test_dot_export_lists_alive_nodes_and_edges():
     pruned = r.export_dot()
     assert f"n{kept.node_id} " not in pruned
     assert "->" not in pruned
+
+
+def test_dot_labels_escape_backslashes_and_quotes():
+    names = ('x"1', "a\\b", '\\"', 'q"\\', "plain")
+    d = make_regression_dataset(n=12, p=len(names), seed=5)
+    r = Roadmap.from_dataset(replace(d, column_names=names), lineage="t")
+    r.add_node(ADD, (0, 1), np.asarray(d.columns[0]) + np.asarray(d.columns[1]))
+    labels = re.findall(r"\[label=(.*)\];$", r.export_dot(), flags=re.MULTILINE)
+    assert len(labels) == len(names) + 1 + 2  # the roots, the sum and its two edges
+    for label in labels:
+        assert re.fullmatch(r'"(?:[^"\\]|\\.)*"', label)
+    unescaped = [re.sub(r"\\(.)", r"\1", label[1:-1]) for label in labels]
+    assert unescaped[: len(names)] == [f"{k}:{name}" for k, name in enumerate(names)]
 
 
 @given(st.integers(0, 10_000))
