@@ -436,7 +436,7 @@ def _fork_child(fit, share) -> int:
     return pid
 
 
-def _centroid(X, y, X_te, task: str, cfg: EvalConfig) -> np.ndarray:
+def _centroid(X, y, X_te, task: str) -> np.ndarray:
     """Nearest-centroid over class centroids, or over 5 label-range
     centroids for regression, trained on (X, y); returns the predictions
     for X_te."""
@@ -451,7 +451,7 @@ def _centroid(X, y, X_te, task: str, cfg: EvalConfig) -> np.ndarray:
 
 
 def _centroid_folds(folds: list, task: str, cfg: EvalConfig) -> list:
-    return [_centroid(fold.X, fold.y, fold.X_te, task, cfg) for fold in folds]
+    return [_centroid(fold.X, fold.y, fold.X_te, task) for fold in folds]
 
 
 # Each model maps a list of folds to each fold's predictions for its held-out rows.

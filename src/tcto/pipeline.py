@@ -5,11 +5,13 @@ Pipeline._step runs the six stages of one step in order:
 - _cluster encodes the alive roadmap nodes once (one snapshot, one RGCN
   pass) and clusters them;
 - _decide asks the three agents for a head cluster, an operation and (for
-  binary operations) an operand cluster;
+  binary operations) an operand cluster, and records each acting agent's
+  state input, action and StateSpec, the one description of its choice;
 - _grow grows the roadmap by group-wise crossing;
 - _score scores the new feature set with cross validation and rewards the
   agents;
-- _learn trains the agents from replay;
+- _learn parks those choices as transitions and trains the agents from
+  replay;
 - _prune keeps the node count inside budget by node-wise pruning early in
   training and by backtracking to the episode's best snapshot later on.
 """
@@ -20,8 +22,8 @@ import base64
 import hashlib
 import json
 import math
+import sys
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -51,6 +53,9 @@ class ConfigError(PipelineError):
     """A configuration value or key is not acceptable."""
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 @dataclass(frozen=True)
 class RunConfig:
     episodes: int = 50
@@ -77,10 +82,13 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
-        # json reads NaN and Infinity, and NaN passes a bound like learning_rate's.
-        for key, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
+        # json reads NaN and Infinity, and NaN passes a bound like learning_rate's;
+        # an integer beyond the float range overflows where it is first used.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+                got = value if isinstance(value, float) else "an integer out of float range"
+                raise ConfigError(f"config key {f.name!r} must be finite, got {got}")
         if self.episodes < 0 or self.steps_per_episode < 1:
             raise ConfigError("episodes must be >= 0 and steps_per_episode >= 1")
         if self.application_episodes < 0:
@@ -223,31 +231,36 @@ class _Episode:
 class _Clusters:
     """The alive subgraph, its node embeddings h and their clustering.
 
-    groups holds each cluster as ascending node ids, group_pos the same
-    clusters as graph row positions, all_pos every row.
+    groups holds each cluster as a tuple of ascending graph row positions;
+    alive_ids[r] is the node id of row r.
     """
 
     graph: enc.GraphSnapshot
     h: np.ndarray
     groups: list
-    group_pos: list
-    all_pos: tuple
+    alive_ids: list
 
 
 @dataclass
 class _Decision:
+    """One step's choices.
+
+    choices maps each acting agent, in acting order, to (state input,
+    action, StateSpec): the input it acted on, the action it took and how
+    that input pools the step's embeddings. head_idx and operand_idx index
+    the step's clusters; fallback marks a binary operation replaced by a
+    unary one because there was a single cluster.
+    """
+
+    choices: dict
     head_idx: int
-    head_input: np.ndarray
     op: Operation
-    fallback: bool = False
+    fallback: bool
     operand_idx: int | None = None
-    operand_input: np.ndarray | None = None
 
     @property
     def acting(self) -> tuple:
-        if self.operand_idx is None:
-            return (ag.HEAD, ag.OPERATION)
-        return (ag.HEAD, ag.OPERATION, ag.OPERAND)
+        return tuple(self.choices)
 
 
 @dataclass
@@ -470,30 +483,27 @@ class Pipeline:
             self._scores[key] = score
         return score
 
-    def _pick_index(self, agent_role: str, inputs: list, epsilon: float) -> int:
+    def _pick(self, role: str, n: int, greedy, *args) -> int:
+        """The index of one of n options: a uniform draw under the random
+        policy, else greedy(agent, *args, rng_policy), the agent's
+        epsilon-greedy pick, whose refusal of a non-finite Q-value is
+        reported as _learn reports it."""
         if self.cfg.random_policy:
-            return int(self.rng_policy.integers(len(inputs)))
-        with self._finite_q(agent_role):
-            return ag.select_candidate(
-                self.agents[agent_role], inputs, epsilon, self.rng_policy
-            )
+            return int(self.rng_policy.integers(n))
+        try:
+            return greedy(self.agents[role], *args, self.rng_policy)
+        except FloatingPointError as exc:
+            raise self._diverged(f"the {role} agent's Q-values") from exc
 
     def _pick_operation(self, state_input: np.ndarray, epsilon: float, ids) -> int:
         """The id of an operation among ids: every id, or the unary ids at
         epsilon 0 when a binary pick meets a single cluster."""
-        if self.cfg.random_policy:
-            return ids[int(self.rng_policy.integers(len(ids)))]
-        with self._finite_q(ag.OPERATION):
-            q = ag.operation_q_values(self.agents[ag.OPERATION], state_input)
-            return ids[ag.epsilon_greedy(q[ids], epsilon, self.rng_policy)]
 
-    @contextmanager
-    def _finite_q(self, role: str):
-        """Report a decision's refusal of a non-finite Q-value as _learn does."""
-        try:
-            yield
-        except FloatingPointError as exc:
-            raise self._diverged(f"the {role} agent's Q-values") from exc
+        def greedy(agent, rng):
+            q = ag.operation_q_values(agent, state_input)
+            return ag.epsilon_greedy(q[ids], epsilon, rng)
+
+        return ids[self._pick(ag.OPERATION, len(ids), greedy)]
 
     def _step(self, ep: _Episode, e: int, s: int, phase: str, best_score: float, timings):
         learning = phase == EXPLORE and not self.cfg.random_policy
@@ -539,64 +549,60 @@ class Pipeline:
         alive_ids = roadmap.alive_ids()
         graph = enc.snapshot_from_roadmap(roadmap)
         h = graph.stats
-        if self.cfg.use_rgcn:
+        if self.encoder is not None:
             h, _ = enc.rgcn_forward([graph], self.encoder)
             # Clustering squares h, so its squares must be finite too.
             self._refuse_non_finite("the node embeddings", [(h * h).sum()])
         groups = cluster_nodes(
             graph.adjacency,
             graph.stats if first_step else h,
-            alive_ids,
+            range(len(alive_ids)),
             use_structure=self.cfg.use_structure,
             use_similarity=self.cfg.use_similarity,
         )
-        pos = {nid: k for k, nid in enumerate(alive_ids)}
-        return _Clusters(
-            graph=graph,
-            h=h,
-            groups=groups,
-            group_pos=[tuple(pos[i] for i in g) for g in groups],
-            all_pos=tuple(range(len(alive_ids))),
-        )
+        return _Clusters(graph, h, [tuple(g) for g in groups], alive_ids)
 
     def _decide(self, ep: _Episode, cl: _Clusters, epsilon: float) -> _Decision:
-        reps = [enc.cluster_rep(cl.h, g) for g in cl.group_pos]
-        g_rep = enc.cluster_rep(cl.h, cl.all_pos)
+        """Each acting agent's choice. The head and operation agents act on
+        the head cluster's mean and the mean of every row; the operand agent
+        adds a tail cluster's mean and the operation's embedding."""
+        rows = tuple(range(len(cl.alive_ids)))
+        reps = [enc.cluster_rep(cl.h, g) for g in cl.groups]
+        g_rep = enc.cluster_rep(cl.h, rows)
         head_inputs = [np.concatenate([r, g_rep]) for r in reps]
         self._complete_pending(ep, ag.HEAD, head_inputs)
-        head_idx = self._pick_index(ag.HEAD, head_inputs, epsilon)
+        head_idx = self._pick(ag.HEAD, len(head_inputs), ag.select_candidate, head_inputs, epsilon)
         head_input = head_inputs[head_idx]
+        head_spec = enc.StateSpec((cl.groups[head_idx], rows))
         self._complete_pending(ep, ag.OPERATION, [head_input])
         op = OPERATIONS[self._pick_operation(head_input, epsilon, _ALL_IDS)]
+        fallback = op.arity == 2 and len(cl.groups) < 2
+        if fallback:
+            op = OPERATIONS[self._pick_operation(head_input, 0.0, _UNARY_IDS)]
+        choices = {
+            ag.HEAD: (head_input, 0, head_spec),
+            ag.OPERATION: (head_input, op.id, head_spec),
+        }
         if op.arity == 1:
-            return _Decision(head_idx, head_input, op)
-        if len(cl.groups) < 2:
-            fallback = OPERATIONS[self._pick_operation(head_input, 0.0, _UNARY_IDS)]
-            return _Decision(head_idx, head_input, fallback, fallback=True)
+            return _Decision(choices, head_idx, op, fallback)
         o_rep = enc.op_rep(self.encoder, op.id)
-        tail_indices = [j for j in range(len(cl.groups)) if j != head_idx]
-        operand_inputs = [
-            np.concatenate([reps[head_idx], g_rep, reps[j], o_rep]) for j in tail_indices
-        ]
+        tails = [j for j in range(len(cl.groups)) if j != head_idx]
+        operand_inputs = [np.concatenate([reps[head_idx], g_rep, reps[j], o_rep]) for j in tails]
         self._complete_pending(ep, ag.OPERAND, operand_inputs)
-        choice = self._pick_index(ag.OPERAND, operand_inputs, epsilon)
-        return _Decision(
-            head_idx,
-            head_input,
-            op,
-            operand_idx=tail_indices[choice],
-            operand_input=operand_inputs[choice],
-        )
+        k = self._pick(ag.OPERAND, len(tails), ag.select_candidate, operand_inputs, epsilon)
+        operand_spec = enc.StateSpec((*head_spec.groups, cl.groups[tails[k]]), op.id)
+        choices[ag.OPERAND] = (operand_inputs[k], 0, operand_spec)
+        return _Decision(choices, head_idx, op, fallback, tails[k])
 
     def _grow(self, ep: _Episode, cl: _Clusters, dec: _Decision) -> _Growth:
         """Group-wise crossing of the chosen clusters, capped at candidate_cap.
         A known signature keeps its column, so only new ones are computed."""
         op = dec.op
-        heads = cl.groups[dec.head_idx]
+        heads = [cl.alive_ids[r] for r in cl.groups[dec.head_idx]]
         if op.arity == 1:
             pairs = [(nid,) for nid in heads]
         else:
-            tails = cl.groups[dec.operand_idx]
+            tails = [cl.alive_ids[r] for r in cl.groups[dec.operand_idx]]
             pairs = [(h_id, t_id) for h_id in heads for t_id in tails]
         nodes = ep.roadmap.nodes
         out = _Growth(attempts=len(pairs))
@@ -649,16 +655,8 @@ class Pipeline:
         if not learning:
             return losses
         cfg = self.cfg
-        head_groups = (cl.group_pos[dec.head_idx], cl.all_pos)
-        chosen = {
-            ag.HEAD: (dec.head_input, 0, head_groups, None),
-            ag.OPERATION: (dec.head_input, dec.op.id, head_groups, None),
-        }
-        if dec.operand_idx is not None:
-            operand_groups = head_groups + (cl.group_pos[dec.operand_idx],)
-            chosen[ag.OPERAND] = (dec.operand_input, 0, operand_groups, dec.op.id)
-        for role, (state_input, action, groups, op_id) in chosen.items():
-            ctx = (cl.graph, enc.StateSpec(groups, op_id)) if cfg.use_rgcn else None
+        for role, (state_input, action, spec) in dec.choices.items():
+            ctx = None if self.encoder is None else (cl.graph, spec)
             share = scored.reward.shares[role]
             ep.pending[role] = ag.Transition(state_input, action, share, [], ctx)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -96,14 +96,11 @@ class Dataset:
                 raise DataError(f"column {name!r} contains non-finite values")
         if labels.shape != (n,):
             raise DataError("label vector length mismatch")
+        if not np.all(np.isfinite(labels)):
+            raise DataError(f"{self.task} labels must be finite")
         if self.task == CLASSIFICATION:
-            if not np.all(np.isfinite(labels)):
-                raise DataError("classification labels must be finite")
             if not np.all(labels == np.floor(labels)) or labels.min() < 0:
                 raise DataError("classification labels must be integers >= 0")
-        else:
-            if not np.all(np.isfinite(labels)):
-                raise DataError("regression labels must be finite")
         object.__setattr__(self, "column_names", tuple(self.column_names))
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "labels", labels)

@@ -256,7 +256,16 @@ def test_a_config_value_of_the_wrong_json_type_exits_one(tmp_path, capsys, key, 
 FLOAT_KEYS = [k for k, v in config_to_dict(RunConfig()).items() if isinstance(v, float)]
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "value",
+    [
+        math.nan,
+        math.inf,
+        -math.inf,
+        pytest.param(10**400, id="1e400"),
+        pytest.param(-(10**400), id="-1e400"),
+    ],
+)
 @pytest.mark.parametrize("key", FLOAT_KEYS)
 def test_a_non_finite_config_value_exits_one(tmp_path, capsys, key, value):
     code, out = _train(tmp_path, {**FAST_CONFIG, key: value})

@@ -146,7 +146,16 @@ def test_run_config_bounds(kw):
 FLOAT_KEYS = [k for k, v in config_to_dict(RunConfig()).items() if isinstance(v, float)]
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "value",
+    [
+        math.nan,
+        math.inf,
+        -math.inf,
+        pytest.param(10**400, id="1e400"),
+        pytest.param(-(10**400), id="-1e400"),
+    ],
+)
 @pytest.mark.parametrize("key", FLOAT_KEYS)
 def test_a_non_finite_float_value_is_refused_by_its_key(key, value):
     with pytest.raises(ConfigError, match=f"config key '{key}' must be finite"):
@@ -801,3 +810,35 @@ def test_a_binary_pick_on_one_cluster_falls_back_to_a_unary_one(
             assert replay.bit_generator.state == after
         else:
             assert after == before
+
+
+def test_each_parked_transition_re_encodes_to_the_state_its_agent_acted_on(monkeypatch):
+    """With an encoder, state_forward of a parked transition's state_ctx, at
+    the weights of the step that parked it, gives back its state_input: for
+    every role, on binary, unary and one-column fallback steps."""
+    seen = set()
+    real_learn = Pipeline._learn
+
+    def checking_learn(self, ep, cl, dec, scored, learning):
+        weights = copy.deepcopy(self.encoder)
+        losses = real_learn(self, ep, cl, dec, scored, learning)
+        kind = "fallback" if dec.fallback else ("unary", "binary")[dec.op.arity - 1]
+        for role in dec.acting:
+            t = ep.pending[role]
+            x, _ = tcto.encoder.state_forward(weights, [t.state_ctx])
+            assert np.abs(x[0] - t.state_input).max() <= 1e-12
+            seen.add((kind, role))
+        return losses
+
+    monkeypatch.setattr(Pipeline, "_learn", checking_learn)
+    for data in (_product_dataset(seed=3), _one_column_dataset()):
+        Pipeline(data, _tiny_cfg(use_rgcn=True, episodes=3)).train()
+    assert seen == {
+        ("binary", HEAD),
+        ("binary", OPERATION),
+        ("binary", OPERAND),
+        ("unary", HEAD),
+        ("unary", OPERATION),
+        ("fallback", HEAD),
+        ("fallback", OPERATION),
+    }

@@ -148,6 +148,13 @@ def test_dataset_rejects_bad_shapes_and_values():
         Dataset(("a",), (np.array([1.0, 2.0]),), np.array([0.0, 1.0]), "ranking")
 
 
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_labels_are_refused_by_task(task, bad):
+    with pytest.raises(DataError, match=f"^{task} labels must be finite$"):
+        Dataset(("a",), (np.array([1.0, 2.0]),), np.array([0.0, bad]), task)
+
+
 def test_classification_labels_must_be_nonnegative_integers():
     col = (np.array([1.0, 2.0]),)
     with pytest.raises(DataError):
